@@ -1,7 +1,8 @@
 """Command line interface.
 
-Exit status: 0 success, 1 claim mismatch, 2 usage or parse error,
-3 capacity (the request exceeds configured enumeration caps).
+Exit status: 0 success, 1 claim mismatch, 2 usage or parse error (a
+bad spec, or a size the constructors reject such as Z0), 3 capacity (the
+request exceeds configured enumeration caps).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import sys
 from . import claims as cl
 from . import report as rp
 from . import specparse
-from .elements import full_census
 from .errors import CapacityError, LedgerFormatError, NotALatticeError, SpecSyntaxError
 from .lattices import (
     check_identity,
@@ -122,10 +122,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return _dispatch(args)
-    except SpecSyntaxError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except LedgerFormatError as e:
+    except (SpecSyntaxError, LedgerFormatError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CapacityError as e:

@@ -4,13 +4,25 @@ Element codes are canonical integers 0..cardinality-1.  Structured rings
 use a mixed-radix little-endian codec over their components/coefficients
 (component 0 least significant), so reports are stable across runs.  The
 zero element always has code 0.
+
+Each construction defines its arithmetic once, as a :class:`Kernel` of batch
+``add``/``mul``/``neg`` functions over arrays of element codes.  A kernel
+splits codes into mixed-radix digits, applies the component rings' own batch
+operations (their op tables, or their own kernels when they have none) and
+joins the digits again.  Everything else is that kernel evaluated on other
+arrays: a dense op table is the kernel over the full grid, filled in row
+blocks; a scalar ``add``/``mul``/``neg`` on a ring without tables is the
+kernel on length-1 arrays; the sampled axiom audit is one batched call.
+Codes are int64 below 2^63 and Python ints (dtype object) from there on,
+so no cardinality overflows.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,9 +31,25 @@ from .config import DEFAULT_LIMITS, EngineLimits
 from .errors import CapacityError, ValidationError
 from .structures import CayleyStructure
 
+# grid cells per row block when a dense table is filled from a kernel; bounds
+# the kernel's intermediates to a few hundred kB whatever the cardinality
+_TABLE_BLOCK = 1 << 14
+# sampled triples checked per batched call of the audit
+_AUDIT_BLOCK = 4096
+
+
+class Kernel(NamedTuple):
+    """Batch arithmetic of a construction, elementwise over broadcastable
+    arrays of element codes."""
+
+    add: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    mul: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    neg: Callable[[np.ndarray], np.ndarray]
+
 
 class RingHandle:
-    """A finite ring: evaluators over element codes plus cached op tables."""
+    """A finite ring: a batch arithmetic kernel, or op tables, or both (tables
+    are built from the kernel on first use)."""
 
     def __init__(
         self,
@@ -32,10 +60,7 @@ class RingHandle:
         one: int | None,
         add_table: np.ndarray | None = None,
         mul_table: np.ndarray | None = None,
-        add_fn: Callable[[int, int], int] | None = None,
-        mul_fn: Callable[[int, int], int] | None = None,
-        neg_fn: Callable[[int], int] | None = None,
-        table_builder: Callable[[], tuple[np.ndarray, np.ndarray]] | None = None,
+        kernel: Kernel | None = None,
         labeler: Callable[[int], str] | None = None,
         meta: dict | None = None,
         limits: EngineLimits = DEFAULT_LIMITS,
@@ -50,10 +75,7 @@ class RingHandle:
         self._add_table = add_table
         self._mul_table = mul_table
         self._neg_vec: np.ndarray | None = None
-        self._add_fn = add_fn
-        self._mul_fn = mul_fn
-        self._neg_fn = neg_fn
-        self._table_builder = table_builder
+        self.kernel = kernel
         self._labeler = labeler
         self._cache: dict = {}
 
@@ -71,16 +93,16 @@ class RingHandle:
                 f"{self.name}: cardinality {self.cardinality} exceeds the "
                 f"enumeration cap {self.limits.enumeration_cap}"
             )
-        if self._table_builder is not None:
-            self._add_table, self._mul_table = self._table_builder()
-        else:
-            n = self.cardinality
-            self._add_table = np.fromfunction(
-                np.vectorize(lambda a, b: self._add_fn(int(a), int(b))), (n, n), dtype=int
-            ).astype(np.int32)
-            self._mul_table = np.fromfunction(
-                np.vectorize(lambda a, b: self._mul_fn(int(a), int(b))), (n, n), dtype=int
-            ).astype(np.int32)
+        n = self.cardinality
+        add = np.empty((n, n), dtype=np.int32)
+        mul = np.empty((n, n), dtype=np.int32)
+        cols = np.arange(n)[None, :]
+        step = max(1, _TABLE_BLOCK // n)
+        for r0 in range(0, n, step):
+            rows = np.arange(r0, min(n, r0 + step))[:, None]
+            add[r0 : r0 + step] = self.kernel.add(rows, cols)
+            mul[r0 : r0 + step] = self.kernel.mul(rows, cols)
+        self._add_table, self._mul_table = add, mul
 
     @property
     def add_table(self) -> np.ndarray:
@@ -101,24 +123,42 @@ class RingHandle:
             self._neg_vec = np.argmax(zero_pos, axis=1).astype(np.int32)
         return self._neg_vec
 
+    def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a + b elementwise over arrays of codes."""
+        if self._add_table is not None:
+            return self._add_table[a, b]
+        return self.kernel.add(a, b)
+
+    def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a * b elementwise over arrays of codes."""
+        if self._mul_table is not None:
+            return self._mul_table[a, b]
+        return self.kernel.mul(a, b)
+
+    def vneg(self, a: np.ndarray) -> np.ndarray:
+        """-a elementwise over an array of codes."""
+        if self._add_table is not None:
+            return self.neg_vec[a]
+        return self.kernel.neg(a)
+
+    def _scalar(self, op: Callable, *codes: int) -> int:
+        dtype = _dtype(self.cardinality)
+        return int(op(*(np.array([c], dtype=dtype) for c in codes))[0])
+
     def add(self, a: int, b: int) -> int:
         if self._add_table is not None:
             return int(self._add_table[a, b])
-        if self._add_fn is not None:
-            return self._add_fn(a, b)
-        return int(self.add_table[a, b])
+        return self._scalar(self.kernel.add, a, b)
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
             return int(self._mul_table[a, b])
-        if self._mul_fn is not None:
-            return self._mul_fn(a, b)
-        return int(self.mul_table[a, b])
+        return self._scalar(self.kernel.mul, a, b)
 
     def neg(self, a: int) -> int:
-        if self._neg_fn is not None:
-            return self._neg_fn(a)
-        return int(self.neg_vec[a])
+        if self._add_table is not None:
+            return int(self.neg_vec[a])
+        return self._scalar(self.kernel.neg, a)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -146,6 +186,11 @@ class RingHandle:
 # -- mixed-radix codec --------------------------------------------------------
 
 
+def _dtype(n: int):
+    """Array dtype that holds every code below n."""
+    return np.int64 if n <= 2**63 else object
+
+
 def _weights(radices: list[int]) -> list[int]:
     w, acc = [], 1
     for r in radices:
@@ -169,13 +214,71 @@ def _encode(digits, radices: list[int]) -> int:
     return code
 
 
-def _digit_matrix(n: int, radices: list[int]) -> np.ndarray:
-    codes = np.arange(n, dtype=np.int64)
-    out = np.empty((n, len(radices)), dtype=np.int64)
-    for i, r in enumerate(radices):
-        out[:, i] = codes % r
-        codes //= r
+def _split(codes: np.ndarray, radices: list[int]) -> list[np.ndarray]:
+    """Digit arrays of an array of codes, component 0 first."""
+    out = []
+    for r in radices:
+        out.append((codes % r).astype(_dtype(r), copy=False))
+        codes = codes // r
     return out
+
+
+def _join(digits: list[np.ndarray], radices: list[int]) -> np.ndarray:
+    """Inverse of _split: the codes of broadcastable digit arrays."""
+    dtype = _dtype(math.prod(radices))
+    codes = 0
+    for d, w in zip(digits, _weights(radices)):
+        codes = codes + d.astype(dtype, copy=False) * w
+    return codes
+
+
+# -- kernels ------------------------------------------------------------------
+
+
+def _zn_kernel(n: int) -> Kernel:
+    """Z_n arithmetic; Python ints once a product could overflow int64."""
+    work = np.int64 if (n - 1) ** 2 < 2**63 else object
+    out = _dtype(n)
+
+    def lift(f):
+        return lambda *xs: f(*(x.astype(work, copy=False) for x in xs)).astype(out, copy=False)
+
+    return Kernel(lift(lambda a, b: (a + b) % n), lift(lambda a, b: a * b % n), lift(lambda a: -a % n))
+
+
+def _componentwise(rings: list[RingHandle]) -> Kernel:
+    """Kernel of the direct product of rings: each op digit by digit."""
+    radices = [R.cardinality for R in rings]
+
+    def lift(op):
+        def run(*codes):
+            digits = zip(rings, *(_split(c, radices) for c in codes))
+            return _join([op(R, *xs) for R, *xs in digits], radices)
+
+        return run
+
+    return Kernel(lift(RingHandle.vadd), lift(RingHandle.vmul), lift(RingHandle.vneg))
+
+
+def _convolution(base: RingHandle, size: int, terms: list[tuple[int, int, int, bool]]) -> Kernel:
+    """Kernel of coefficient vectors of length size over base, where basis
+    elements multiply by e_g e_h = e_k, or -e_k when negated, for each term
+    (g, h, k, negated); pairs without a term multiply to 0."""
+    radices = [base.cardinality] * size
+    coefficientwise = _componentwise([base] * size)
+
+    def mul(a, b):
+        da, db = _split(a, radices), _split(b, radices)
+        out: list = [None] * size
+        for g, h, k, negated in terms:
+            t = base.vmul(da[g], db[h])
+            if negated:
+                t = base.vneg(t)
+            out[k] = t if out[k] is None else base.vadd(out[k], t)
+        zero = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
+        return _join([zero if d is None else d for d in out], radices)
+
+    return Kernel(coefficientwise.add, mul, coefficientwise.neg)
 
 
 # -- validation ----------------------------------------------------------------
@@ -246,24 +349,34 @@ def _audit_tables(R: RingHandle) -> list[AxiomViolation]:
 
 
 def _audit_sampled(R: RingHandle, samples: int, seed: int = 0) -> list[AxiomViolation]:
-    rng = np.random.default_rng(seed)
+    """Five axioms on random triples; at the first triple that breaks any,
+    every axiom it breaks, in order."""
     n = R.cardinality
-    out: list[AxiomViolation] = []
-    for _ in range(samples):
-        a, b, c = (int(rng.integers(0, n)) for _ in range(3))
-        if R.add(a, b) != R.add(b, a):
-            out.append(AxiomViolation("additive-commutativity", (a, b)))
-        if R.add(R.add(a, b), c) != R.add(a, R.add(b, c)):
-            out.append(AxiomViolation("additive-associativity", (a, b, c)))
-        if R.mul(R.mul(a, b), c) != R.mul(a, R.mul(b, c)):
-            out.append(AxiomViolation("multiplicative-associativity", (a, b, c)))
-        if R.mul(a, R.add(b, c)) != R.add(R.mul(a, b), R.mul(a, c)):
-            out.append(AxiomViolation("left-distributivity", (a, b, c)))
-        if R.mul(R.add(a, b), c) != R.add(R.mul(a, c), R.mul(b, c)):
-            out.append(AxiomViolation("right-distributivity", (a, b, c)))
-        if out:
-            break
-    return out
+    if n < 2**63:
+        # the same triples as drawing a, b, c one at a time with rng.integers(0, n)
+        triples = np.random.default_rng(seed).integers(0, n, size=(samples, 3))
+    else:
+        rnd = random.Random(seed)
+        triples = np.array([rnd.randrange(n) for _ in range(3 * samples)], dtype=object).reshape(samples, 3)
+    for start in range(0, samples, _AUDIT_BLOCK):
+        a, b, c = triples[start : start + _AUDIT_BLOCK].T
+        a_b, b_c, ab, bc, ac = R.vadd(a, b), R.vadd(b, c), R.vmul(a, b), R.vmul(b, c), R.vmul(a, c)
+        checks = [
+            ("additive-commutativity", a_b != R.vadd(b, a), (a, b)),
+            ("additive-associativity", R.vadd(a_b, c) != R.vadd(a, b_c), (a, b, c)),
+            ("multiplicative-associativity", R.vmul(ab, c) != R.vmul(a, bc), (a, b, c)),
+            ("left-distributivity", R.vmul(a, b_c) != R.vadd(ab, ac), (a, b, c)),
+            ("right-distributivity", R.vmul(a_b, c) != R.vadd(ac, bc), (a, b, c)),
+        ]
+        bad = np.logical_or.reduce([fails for _, fails, _ in checks])
+        if bad.any():
+            i = int(np.argmax(bad))
+            return [
+                AxiomViolation(axiom, tuple(int(x[i]) for x in witness))
+                for axiom, fails, witness in checks
+                if fails[i]
+            ]
+    return []
 
 
 def ring_axiom_audit(R: RingHandle, samples: int | None = None) -> AuditReport:
@@ -298,11 +411,7 @@ def zn(n: int, limits: EngineLimits = DEFAULT_LIMITS, validate: bool = True) -> 
         mul = (np.multiply.outer(r, r) % n).astype(np.int32)
         R = RingHandle(n, "zn", f"Z{n}", one=(1 if n > 1 else 0), add_table=add, mul_table=mul, limits=limits, meta={"n": n})
     else:
-        R = RingHandle(
-            n, "zn", f"Z{n}", one=(1 if n > 1 else 0),
-            add_fn=lambda a, b: (a + b) % n, mul_fn=lambda a, b: (a * b) % n,
-            neg_fn=lambda a: (-a) % n, limits=limits, meta={"n": n},
-        )
+        R = RingHandle(n, "zn", f"Z{n}", one=1, kernel=_zn_kernel(n), limits=limits, meta={"n": n})
     if validate:
         _validate_on_construction(R)
     return R
@@ -317,37 +426,12 @@ def product_ring(factors: list[RingHandle], limits: EngineLimits = DEFAULT_LIMIT
     if all(f.one is not None for f in factors):
         one = _encode([f.one for f in factors], radices)
 
-    def add_fn(a, b):
-        da, db = _decode(a, radices), _decode(b, radices)
-        return _encode([f.add(x, y) for f, x, y in zip(factors, da, db)], radices)
-
-    def mul_fn(a, b):
-        da, db = _decode(a, radices), _decode(b, radices)
-        return _encode([f.mul(x, y) for f, x, y in zip(factors, da, db)], radices)
-
-    def neg_fn(a):
-        return _encode([f.neg(x) for f, x in zip(factors, _decode(a, radices))], radices)
-
-    def builder():
-        digits = _digit_matrix(n, radices)
-        w = _weights(radices)
-        add = np.zeros((n, n), dtype=np.int64)
-        mul = np.zeros((n, n), dtype=np.int64)
-        for i, f in enumerate(factors):
-            ci = digits[:, i]
-            add += f.add_table[np.ix_(ci, ci)].astype(np.int64) * w[i]
-            mul += f.mul_table[np.ix_(ci, ci)].astype(np.int64) * w[i]
-        return add.astype(np.int32), mul.astype(np.int32)
-
     def labeler(code):
         return "(" + ",".join(f.label(x) for f, x in zip(factors, _decode(code, radices))) + ")"
 
-    meta = {"factors": factors}
     R = RingHandle(
         n, "product", " x ".join(f.name for f in factors), one=one,
-        add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn,
-        table_builder=builder if n <= limits.enumeration_cap else None,
-        labeler=labeler, meta=meta, limits=limits,
+        kernel=_componentwise(factors), labeler=labeler, meta={"factors": factors}, limits=limits,
     )
     if n <= limits.table_cap:
         R._require_tables()
@@ -362,64 +446,20 @@ def matrix_ring(base: RingHandle, k: int, limits: EngineLimits = DEFAULT_LIMITS,
         raise ValueError("matrix ring needs k >= 1")
     m = base.cardinality
     radices = [m] * (k * k)
-    n = m ** (k * k)
-
-    def mat(code):
-        d = _decode(code, radices)
-        return [[d[r * k + c] for c in range(k)] for r in range(k)]
-
-    def unmat(rows):
-        return _encode([rows[r][c] for r in range(k) for c in range(k)], radices)
-
-    def add_fn(a, b):
-        A, B = mat(a), mat(b)
-        return unmat([[base.add(A[r][c], B[r][c]) for c in range(k)] for r in range(k)])
-
-    def mul_fn(a, b):
-        A, B = mat(a), mat(b)
-        out = [[0] * k for _ in range(k)]
-        for r in range(k):
-            for c in range(k):
-                acc = base.zero
-                for l in range(k):
-                    acc = base.add(acc, base.mul(A[r][l], B[l][c]))
-                out[r][c] = acc
-        return unmat(out)
-
-    def neg_fn(a):
-        A = mat(a)
-        return unmat([[base.neg(A[r][c]) for c in range(k)] for r in range(k)])
-
+    # entry (r, c) is digit r*k + c; (AB)[r][c] sums A[r][l] B[l][c] over l
+    terms = [(r * k + l, l * k + c, r * k + c, False) for r in range(k) for c in range(k) for l in range(k)]
     one = None
     if base.one is not None:
-        one = unmat([[base.one if r == c else base.zero for c in range(k)] for r in range(k)])
-
-    def builder():
-        if base.construction != "zn":
-            raise CapacityError(f"no dense table builder for matrices over {base.name}")
-        digits = _digit_matrix(n, radices)
-        mats = digits.reshape(n, k, k)
-        add = np.zeros((n, n), dtype=np.int64)
-        w = _weights(radices)
-        for i in range(k * k):
-            ci = digits[:, i]
-            add += ((ci[:, None] + ci[None, :]) % m).astype(np.int64) * w[i]
-        mul = np.zeros((n, n), dtype=np.int64)
-        prod = np.einsum("aij,bjk->abik", mats, mats) % m
-        for r in range(k):
-            for c in range(k):
-                mul += prod[:, :, r, c].astype(np.int64) * w[r * k + c]
-        return add.astype(np.int32), mul.astype(np.int32)
+        one = _encode([base.one if r == c else base.zero for r in range(k) for c in range(k)], radices)
 
     def labeler(code):
-        A = mat(code)
-        return "[" + ";".join(",".join(base.label(x) for x in row) for row in A) + "]"
+        d = [base.label(x) for x in _decode(code, radices)]
+        return "[" + ";".join(",".join(d[r * k : (r + 1) * k]) for r in range(k)) + "]"
 
     R = RingHandle(
-        n, "matrix", f"M{k}({base.name})", one=one,
-        add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn,
-        table_builder=builder if n <= limits.enumeration_cap else None,
-        labeler=labeler, meta={"base": base, "k": k}, limits=limits,
+        m ** (k * k), "matrix", f"M{k}({base.name})", one=one,
+        kernel=_convolution(base, k * k, terms), labeler=labeler,
+        meta={"base": base, "k": k}, limits=limits,
     )
     if validate:
         _validate_on_construction(R)
@@ -432,80 +472,33 @@ def _structure_ring(
 ) -> RingHandle:
     """Common core of group rings and semigroup rings: coefficient vectors over
     base indexed by structure elements, with convolution multiplication."""
-    m = base.cardinality
     s = S.size
-    radices = [m] * s
-    n = m**s
-
-    def add_fn(a, b):
-        da, db = _decode(a, radices), _decode(b, radices)
-        return _encode([base.add(x, y) for x, y in zip(da, db)], radices)
-
-    def neg_fn(a):
-        return _encode([base.neg(x) for x in _decode(a, radices)], radices)
-
-    table = S.table
-
-    def mul_fn(a, b):
-        da, db = _decode(a, radices), _decode(b, radices)
-        out = [base.zero] * s
-        for g in range(s):
-            cg = da[g]
-            if cg == base.zero:
-                continue
-            for h in range(s):
-                ch = db[h]
-                if ch == base.zero:
-                    continue
-                k = int(table[g, h])
-                out[k] = base.add(out[k], base.mul(cg, ch))
-        return _encode(out, radices)
-
+    radices = [base.cardinality] * s
+    terms = [(g, h, int(S.table[g, h]), False) for g in range(s) for h in range(s)]
     one = None
     if base.one is not None and S.identity is not None:
         coeffs = [base.zero] * s
         coeffs[S.identity] = base.one
         one = _encode(coeffs, radices)
 
-    def builder():
-        if base.construction != "zn":
-            raise CapacityError(f"no dense table builder over {base.name}")
-        digits = _digit_matrix(n, radices)
-        w = _weights(radices)
-        add = np.zeros((n, n), dtype=np.int64)
-        for i in range(s):
-            ci = digits[:, i]
-            add += ((ci[:, None] + ci[None, :]) % m).astype(np.int64) * w[i]
-        res = np.zeros((n, n, s), dtype=np.int64)
-        for g in range(s):
-            for h in range(s):
-                k = int(table[g, h])
-                res[:, :, k] += np.multiply.outer(digits[:, g], digits[:, h])
-        res %= m
-        mul = np.zeros((n, n), dtype=np.int64)
-        for i in range(s):
-            mul += res[:, :, i] * w[i]
-        return add.astype(np.int32), mul.astype(np.int32)
-
     def labeler(code):
-        terms = []
+        parts = []
         for g, c in enumerate(_decode(code, radices)):
             if c == base.zero:
                 continue
             gl = S.label(g)
             if S.identity is not None and g == S.identity:
-                terms.append(base.label(c))
+                parts.append(base.label(c))
             elif c == base.one:
-                terms.append(f"[{gl}]")
+                parts.append(f"[{gl}]")
             else:
-                terms.append(f"{base.label(c)}[{gl}]")
-        return "+".join(terms) if terms else "0"
+                parts.append(f"{base.label(c)}[{gl}]")
+        return "+".join(parts) if parts else "0"
 
     R = RingHandle(
-        n, construction, f"{base.name}{S.name}", one=one,
-        add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn,
-        table_builder=builder if n <= limits.enumeration_cap else None,
-        labeler=labeler, meta={"base": base, "structure": S}, limits=limits,
+        base.cardinality**s, construction, f"{base.name}{S.name}", one=one,
+        kernel=_convolution(base, s, terms), labeler=labeler,
+        meta={"base": base, "structure": S}, limits=limits,
     )
     if validate:
         _validate_on_construction(R)
@@ -522,6 +515,11 @@ def semigroup_ring(base: RingHandle, S: CayleyStructure, limits: EngineLimits = 
     return _structure_ring(base, S, "semigroup_ring", limits, validate)
 
 
+# basis 1, i, j, k: the product of basis elements g and h is +-(g xor h), and
+# negative exactly for ii, ik, ji, jj, kj, kk
+_QUATERNION_NEGATED = {(1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (3, 3)}
+
+
 def quaternion_ring(n: int, limits: EngineLimits = DEFAULT_LIMITS, validate: bool = True) -> RingHandle:
     """Coefficient 4-tuples over Z_n with i2 = j2 = k2 = ijk = n-1.
 
@@ -531,59 +529,17 @@ def quaternion_ring(n: int, limits: EngineLimits = DEFAULT_LIMITS, validate: boo
     """
     if n < 2:
         raise ValueError("quaternion ring needs modulus n >= 2")
-    radices = [n] * 4
-    size = n**4
-
-    def mul_vec(p, q):
-        p0, p1, p2, p3 = p
-        q0, q1, q2, q3 = q
-        return (
-            (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3) % n,
-            (p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2) % n,
-            (p0 * q2 + p2 * q0 + p3 * q1 - p1 * q3) % n,
-            (p0 * q3 + p3 * q0 + p1 * q2 - p2 * q1) % n,
-        )
-
-    def add_fn(a, b):
-        da, db = _decode(a, radices), _decode(b, radices)
-        return _encode([(x + y) % n for x, y in zip(da, db)], radices)
-
-    def mul_fn(a, b):
-        return _encode(mul_vec(_decode(a, radices), _decode(b, radices)), radices)
-
-    def neg_fn(a):
-        return _encode([(-x) % n for x in _decode(a, radices)], radices)
-
-    def builder():
-        d = _digit_matrix(size, radices)
-        w = _weights(radices)
-        add = np.zeros((size, size), dtype=np.int64)
-        for i in range(4):
-            ci = d[:, i]
-            add += ((ci[:, None] + ci[None, :]) % n).astype(np.int64) * w[i]
-        p = [d[:, i][:, None] for i in range(4)]
-        q = [d[:, i][None, :] for i in range(4)]
-        comps = [
-            (p[0] * q[0] - p[1] * q[1] - p[2] * q[2] - p[3] * q[3]) % n,
-            (p[0] * q[1] + p[1] * q[0] + p[2] * q[3] - p[3] * q[2]) % n,
-            (p[0] * q[2] + p[2] * q[0] + p[3] * q[1] - p[1] * q[3]) % n,
-            (p[0] * q[3] + p[3] * q[0] + p[1] * q[2] - p[2] * q[1]) % n,
-        ]
-        mul = np.zeros((size, size), dtype=np.int64)
-        for i in range(4):
-            mul += comps[i].astype(np.int64) * w[i]
-        return add.astype(np.int32), mul.astype(np.int32)
+    terms = [(g, h, g ^ h, (g, h) in _QUATERNION_NEGATED) for g in range(4) for h in range(4)]
 
     def labeler(code):
-        p = _decode(code, radices)
+        p = _decode(code, [n] * 4)
         units = ["", "i", "j", "k"]
-        terms = [f"{c}{u}" if u else str(c) for c, u in zip(p, units) if c]
-        return "+".join(terms) if terms else "0"
+        parts = [f"{c}{u}" if u else str(c) for c, u in zip(p, units) if c]
+        return "+".join(parts) if parts else "0"
 
     R = RingHandle(
-        size, "quaternion", f"Q(Z{n})", one=_encode([1, 0, 0, 0], radices),
-        add_fn=add_fn, mul_fn=mul_fn, neg_fn=neg_fn,
-        table_builder=builder if size <= limits.enumeration_cap else None,
+        n**4, "quaternion", f"Q(Z{n})", one=1,
+        kernel=_convolution(zn(n, limits, validate=False), 4, terms),
         labeler=labeler, meta={"n": n}, limits=limits,
     )
     if validate:

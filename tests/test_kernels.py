@@ -1,0 +1,272 @@
+"""Property tests of the batch arithmetic kernels over random small ring
+specs: each construction's kernel against a plain-Python per-element
+reference, dense tables against the kernel, the batched sampled audit
+against the scalar loop it replaced, and the spec printer against the
+parser."""
+
+import random
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from srings.rings import _audit_sampled, table_ring
+from srings.specparse import (
+    GroupAtom,
+    GroupRingSpec,
+    MatrixSpec,
+    ProductSpec,
+    QuaternionSpec,
+    SemigroupRingSpec,
+    SgrpAtom,
+    ZnSpec,
+    build_ring,
+    build_structure,
+    parse,
+    print_spec,
+)
+
+SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+# above the table cap, so these rings run on kernels: enumerable, int64
+# codes with Python-int products, and Python-int codes
+BIG_MODULI = [2049, 10**12, 2**64 + 13]
+
+groups = st.one_of(
+    st.builds(GroupAtom, st.just("C"), st.integers(1, 4)),
+    st.builds(GroupAtom, st.just("S"), st.integers(2, 3)),
+    st.builds(GroupAtom, st.just("D"), st.integers(3, 4)),
+)
+semigroups = st.one_of(
+    st.builds(SgrpAtom, st.just("map"), st.integers(1, 2)),
+    st.builds(SgrpAtom, st.just("znmul"), st.integers(2, 6)),
+)
+atoms = st.one_of(
+    st.builds(ZnSpec, st.integers(1, 6)),
+    st.builds(ZnSpec, st.sampled_from(BIG_MODULI)),
+    st.builds(QuaternionSpec, st.sampled_from([2, 3, 4, 3000])),
+)
+
+
+def spec_strategy(depth: int):
+    if depth == 0:
+        return atoms
+    inner = spec_strategy(depth - 1)
+    single = st.one_of(
+        atoms,
+        st.builds(MatrixSpec, st.integers(1, 2), inner),
+        st.builds(GroupRingSpec, inner, groups),
+        st.builds(SemigroupRingSpec, inner, semigroups),
+    )
+    # factors are never products themselves: the grammar has no parentheses
+    products = st.lists(single, min_size=2, max_size=3).map(lambda fs: ProductSpec(tuple(fs)))
+    return st.one_of(single, products)
+
+
+specs = spec_strategy(2)
+
+
+# -- plain-Python reference arithmetic ------------------------------------------
+
+
+def digits(code, radices):
+    out = []
+    for r in radices:
+        out.append(code % r)
+        code //= r
+    return out
+
+
+def undigits(ds, radices):
+    code, w = 0, 1
+    for d, r in zip(ds, radices):
+        code += d * w
+        w *= r
+    return code
+
+
+class Ref:
+    """add, mul, neg on Python ints for the ring a spec names."""
+
+    def __init__(self, spec):
+        if isinstance(spec, ZnSpec):
+            n = spec.n
+            self.n = n
+            self.add = lambda a, b: (a + b) % n
+            self.mul = lambda a, b: a * b % n
+            self.neg = lambda a: -a % n
+        elif isinstance(spec, ProductSpec):
+            parts = [Ref(f) for f in spec.factors]
+            self._componentwise(parts)
+            rad = [p.n for p in parts]
+            self.mul = lambda a, b: undigits(
+                [p.mul(x, y) for p, x, y in zip(parts, digits(a, rad), digits(b, rad))], rad)
+        elif isinstance(spec, MatrixSpec):
+            base, k = Ref(spec.base), spec.k
+            self._componentwise([base] * (k * k))
+            rad = [base.n] * (k * k)
+
+            def mul(a, b):
+                A, B = digits(a, rad), digits(b, rad)
+                out = []
+                for r in range(k):
+                    for c in range(k):
+                        acc = 0
+                        for l in range(k):
+                            acc = base.add(acc, base.mul(A[r * k + l], B[l * k + c]))
+                        out.append(acc)
+                return undigits(out, rad)
+
+            self.mul = mul
+        elif isinstance(spec, (GroupRingSpec, SemigroupRingSpec)):
+            base = Ref(spec.base)
+            S = build_structure(spec.group if isinstance(spec, GroupRingSpec) else spec.sgrp)
+            s = S.size
+            self._componentwise([base] * s)
+            rad = [base.n] * s
+
+            def mul(a, b):
+                A, B = digits(a, rad), digits(b, rad)
+                out = [0] * s
+                for g in range(s):
+                    for h in range(s):
+                        k = int(S.table[g, h])
+                        out[k] = base.add(out[k], base.mul(A[g], B[h]))
+                return undigits(out, rad)
+
+            self.mul = mul
+        else:
+            assert isinstance(spec, QuaternionSpec)
+            n = spec.n
+            self._componentwise([Ref(ZnSpec(n))] * 4)
+            rad = [n] * 4
+
+            def mul(a, b):
+                p0, p1, p2, p3 = digits(a, rad)
+                q0, q1, q2, q3 = digits(b, rad)
+                return undigits([
+                    (p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3) % n,
+                    (p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2) % n,
+                    (p0 * q2 + p2 * q0 + p3 * q1 - p1 * q3) % n,
+                    (p0 * q3 + p3 * q0 + p1 * q2 - p2 * q1) % n,
+                ], rad)
+
+            self.mul = mul
+
+    def _componentwise(self, parts):
+        rad = [p.n for p in parts]
+        self.n = undigits([r - 1 for r in rad], rad) + 1
+        self.add = lambda a, b: undigits(
+            [p.add(x, y) for p, x, y in zip(parts, digits(a, rad), digits(b, rad))], rad)
+        self.neg = lambda a: undigits([p.neg(x) for p, x in zip(parts, digits(a, rad))], rad)
+
+
+def codes(xs, n):
+    return np.array(xs, dtype=np.int64 if n <= 2**63 else object)
+
+
+# -- properties -----------------------------------------------------------------
+
+
+@SETTINGS
+@given(specs, st.data())
+def test_batch_ops_match_reference(spec, data):
+    R, ref = build_ring(spec, validate=False), Ref(spec)
+    n = R.cardinality
+    assert n == ref.n
+    elements = st.lists(st.integers(0, n - 1), min_size=1, max_size=12)
+    xs = data.draw(elements)
+    ys = data.draw(st.lists(st.integers(0, n - 1), min_size=len(xs), max_size=len(xs)))
+    a, b = codes(xs, n), codes(ys, n)
+    kernels = [(R.vadd, R.vmul, R.vneg)]
+    if R.kernel is not None:
+        kernels.append(R.kernel)
+    for add, mul, neg in kernels:
+        assert [int(v) for v in add(a, b)] == [ref.add(x, y) for x, y in zip(xs, ys)]
+        assert [int(v) for v in mul(a, b)] == [ref.mul(x, y) for x, y in zip(xs, ys)]
+        assert [int(v) for v in neg(a)] == [ref.neg(x) for x in xs]
+    x, y = xs[0], ys[0]
+    assert (R.add(x, y), R.mul(x, y), R.neg(x)) == (ref.add(x, y), ref.mul(x, y), ref.neg(x))
+
+
+@SETTINGS
+@given(specs.filter(lambda s: Ref(s).n <= 300))
+def test_dense_tables_match_kernel(spec):
+    R = build_ring(spec, validate=False)
+    n = R.cardinality
+    if R.kernel is None:  # Zn below the table cap is built from tables only
+        return
+    a, b = np.divmod(np.arange(n * n), n)
+    assert np.array_equal(R.add_table, R.kernel.add(a, b).reshape(n, n))
+    assert np.array_equal(R.mul_table, R.kernel.mul(a, b).reshape(n, n))
+    assert R.add_table.dtype == np.int32
+
+
+def scalar_audit(R, samples, seed=0):
+    """The sampled audit as one scalar loop: the reference for the batched one."""
+    n = R.cardinality
+    rng, rnd = np.random.default_rng(seed), random.Random(seed)
+    out = []
+    for _ in range(samples):
+        if n < 2**63:
+            a, b, c = (int(rng.integers(0, n)) for _ in range(3))
+        else:
+            a, b, c = (rnd.randrange(n) for _ in range(3))
+        if R.add(a, b) != R.add(b, a):
+            out.append(("additive-commutativity", (a, b)))
+        if R.add(R.add(a, b), c) != R.add(a, R.add(b, c)):
+            out.append(("additive-associativity", (a, b, c)))
+        if R.mul(R.mul(a, b), c) != R.mul(a, R.mul(b, c)):
+            out.append(("multiplicative-associativity", (a, b, c)))
+        if R.mul(a, R.add(b, c)) != R.add(R.mul(a, b), R.mul(a, c)):
+            out.append(("left-distributivity", (a, b, c)))
+        if R.mul(R.add(a, b), c) != R.add(R.mul(a, c), R.mul(b, c)):
+            out.append(("right-distributivity", (a, b, c)))
+        if out:
+            break
+    return out
+
+
+def batched_audit(R, samples, seed):
+    return [(v.axiom, v.witness) for v in _audit_sampled(R, samples, seed)]
+
+
+@SETTINGS
+@given(spec_strategy(1), st.integers(0, 2**32))
+def test_batched_audit_matches_scalar_loop(spec, seed):
+    R = build_ring(spec, validate=False)
+    assert batched_audit(R, 10, seed) == scalar_audit(R, 10, seed) == []
+
+
+@SETTINGS
+@given(specs.filter(lambda s: 2 <= Ref(s).n <= 64), st.data())
+def test_batched_audit_matches_scalar_loop_on_corrupted_tables(spec, data):
+    R = build_ring(spec, validate=False)
+    n = R.cardinality
+    tables = [R.add_table.copy(), R.mul_table.copy()]
+    which = data.draw(st.integers(0, 1))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    value = data.draw(st.integers(0, n - 1).filter(lambda v: v != tables[which][i, j]))
+    tables[which][i, j] = value
+    bad = table_ring(*tables, name="corrupted", validate=False)
+    seed = data.draw(st.integers(0, 2**32))
+    assert batched_audit(bad, 300, seed) == scalar_audit(bad, 300, seed)
+
+
+def test_batched_audit_reports_first_failing_triple():
+    # 2 * 3 corrupted in Z4: found by the sampled audit at the triple the
+    # scalar loop stops at, with every axiom that triple breaks
+    base = build_ring(ZnSpec(4))
+    mul = base.mul_table.copy()
+    mul[2, 3] = 1
+    bad = table_ring(base.add_table.copy(), mul, name="corrupted", validate=False)
+    found = batched_audit(bad, 2000, 0)
+    assert found and found == scalar_audit(bad, 2000, 0)
+    assert {axiom for axiom, _ in found} <= {
+        "multiplicative-associativity", "left-distributivity", "right-distributivity"}
+
+
+@SETTINGS
+@given(specs)
+def test_print_parse_round_trip(spec):
+    assert parse(print_spec(spec)) == spec

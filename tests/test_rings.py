@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from srings.bits import elements_of, mask_of
+from srings.elements import classify_nilpotents, classify_zero_divisors, inverses
 from srings.errors import CapacityError, ValidationError
 from srings.rings import (
     characteristic,
@@ -23,6 +24,7 @@ from srings.rings import (
     table_ring,
     zn,
 )
+from srings.specparse import ring_from_text
 from srings.structures import cyclic_group, symmetric_group, symmetric_semigroup
 
 
@@ -233,3 +235,49 @@ def test_mixed_radix_codec_is_little_endian():
     # component 0 least significant: (a, b, c) -> a + 3b + 36c
     assert R.label(1 + 3 * 4 + 36 * 2) == "(1,4,2)"
     assert R.add(1, 2) == 0  # (1,0,0)+(2,0,0) = (0,0,0)
+
+
+def test_sampled_audit_above_int64():
+    # codes from 2^63 on are Python ints: drawing them once overflowed int64
+    rep = ring_axiom_audit(zn(10**23), samples=200)
+    assert rep.passed and rep.method == "sampled"
+    R = matrix_ring(zn(9), 9)
+    assert R.cardinality == 9**81
+    x = R.cardinality - 1  # every entry 8
+    assert R.mul(R.one, x) == x == R.mul(x, R.one)
+    assert R.add(x, R.neg(x)) == 0
+    # each entry of the all-8 matrix squared is 9 * 64 = 0 mod 9
+    assert R.mul(x, x) == 0
+
+
+def _census(R):
+    n = R.cardinality
+    idempotents = np.count_nonzero(R.mul_table[np.arange(n), np.arange(n)] == np.arange(n))
+    return (len(inverses(R)), int(idempotents), len(classify_nilpotents(R)[0]),
+            len(classify_zero_divisors(R)[0]))
+
+
+@pytest.mark.parametrize("spec, product, units, idempotents", [
+    # M2(A x B) = M2(A) x M2(B); M2(Z2) has 6 units and 8 idempotents
+    ("M2(Z2 x Z2)", "M2(Z2) x M2(Z2)", 36, 64),
+    # (A x B)G = AG x BG; Z2C2 has units 1, g and idempotents 0, 1
+    ("GR(Z2 x Z2, C2)", "GR(Z2, C2) x GR(Z2, C2)", 4, 4),
+])
+def test_rings_over_product_bases(spec, product, units, idempotents):
+    R, P = ring_from_text(spec), ring_from_text(product)
+    assert R.cardinality == P.cardinality
+    rep = ring_axiom_audit(R)
+    assert rep.passed and rep.method == "exhaustive"
+    # units and idempotents multiply across the factors
+    assert _census(R) == _census(P)
+    assert _census(R)[:2] == (units, idempotents)
+
+
+def test_matrix_ring_over_group_ring():
+    R = ring_from_text("M2(GR(Z2, C2))")
+    assert R.cardinality == 256
+    rep = ring_axiom_audit(R)
+    assert rep.passed and rep.method == "exhaustive"
+    # GR(Z2, C2) is local with maximal ideal m = {0, 1+g} and residue field Z2,
+    # so |GL2| = |GL2(Z2)| * |M2(m)| = 6 * 16
+    assert len(inverses(R)) == 96
