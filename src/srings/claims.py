@@ -14,25 +14,34 @@ engine is expected to reach:
 
 Refutations are first-class outcomes, not failures: a run fails (exit 1)
 only when a must-pass record's computed status differs from its recorded
-status.
+status.  A record the engine cannot evaluate as written (an unknown id,
+expect key or params value, a missing field, an element outside the ring)
+raises LedgerFormatError with the record's first line.
+
+Families, element censuses, predicates and lattice identities are looked up
+in the tables that own them (substructures.FAMILIES, elements.CENSUSES,
+predicates.PREDICATES, lattices.IDENTITIES): a family record names a family
+id, an element or pair claim asks whether its subject is in a census, and a
+census claim compares a whole census.  Ledger category names that differ
+from census ids go through one alias table.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .bits import contains, elements_of, mask_of
-from .errors import CapacityError, LedgerFormatError
+from .bits import mask_of
+from .errors import CapacityError, LedgerFormatError, NotALatticeError, SpecSyntaxError
 from .lattices import (
+    IDENTITIES,
     check_identity,
     chain_stats,
     forbidden_sublattices,
     lattice_from_poset,
     poset_from_family,
 )
-from .errors import NotALatticeError
 from . import elements as el
 from . import predicates as pr
 from . import rings as rg
@@ -52,6 +61,7 @@ class ClaimEntry:
     must_pass: bool = True
     status: str = "CONFIRMED"  # the status the shipped ledger expects
     locator: str = ""
+    line: int = 0  # first line of the record in the ledger text
 
 
 @dataclass
@@ -86,7 +96,7 @@ def parse_ledger(text: str) -> list[ClaimEntry]:
     seen = set()
     for e in entries:
         if e.id in seen:
-            raise LedgerFormatError(f"duplicate claim id {e.id!r}", 0)
+            raise LedgerFormatError(f"duplicate claim id {e.id!r}", e.line)
         seen.add(e.id)
     return entries
 
@@ -100,23 +110,40 @@ def _entry_from(block: dict[str, str], lineno: int) -> ClaimEntry:
         expect = json.loads(block["expect"])
     except json.JSONDecodeError as e:
         raise LedgerFormatError(f"bad JSON in record {block.get('id')!r}: {e}", lineno) from None
+    if not isinstance(params, dict):
+        raise LedgerFormatError("params must be a JSON object", lineno)
     status = block["status"].upper()
     if status not in ("CONFIRMED", "REFUTED", "MODE-DEPENDENT", "CAPACITY-SKIPPED"):
         raise LedgerFormatError(f"unknown status {status!r}", lineno)
+    mode = block.get("mode", "-")
+    if mode not in ("strict", "lax", "auto", "-"):
+        raise LedgerFormatError(f"unknown mode {mode!r}", lineno)
     return ClaimEntry(
         id=block["id"],
         kind=block["kind"],
         params=params,
         expect=expect,
         ring=block.get("ring") or None,
-        mode=block.get("mode", "-"),
+        mode=mode,
         must_pass=block.get("must", "yes").lower() in ("yes", "true", "1"),
         status=status,
         locator=block.get("locator", ""),
+        line=lineno,
     )
 
 
 # -- evaluation -------------------------------------------------------------------
+
+
+class _BadRecord(Exception):
+    """The record cannot be evaluated as written; run_claims adds its line."""
+
+
+class _Params(dict):
+    """Record params, or a witness's roles: a missing key is the record's fault."""
+
+    def __missing__(self, key):
+        raise _BadRecord(f"params lack {key!r}")
 
 
 class _RingPool:
@@ -129,52 +156,102 @@ class _RingPool:
         return self.cache[text]
 
 
-def _structure_from_text(text: str) -> st.CayleyStructure:
-    text = text.strip()
-    if text.startswith("S(") and text.endswith(")"):
-        return st.symmetric_semigroup(int(text[2:-1]))
-    if text.startswith("Zn*"):
-        return st.zn_multiplicative(int(text[3:]))
-    fam = {"C": "cyclic", "S": "symmetric", "D": "dihedral"}[text[0]]
-    return st.build_group((fam, int(text[1:])))
+def _known(fields, keys, what: str) -> dict:
+    """``fields``, checked to be a JSON object whose keys all come from ``keys``."""
+    if not isinstance(fields, dict):
+        raise _BadRecord(f"{what} must be a JSON object")
+    unknown = sorted(fields.keys() - set(keys))
+    if unknown:
+        raise _BadRecord(f"unknown {what} key {unknown[0]!r}")
+    return fields
 
 
-def _check_expectations(actual: dict, expect: dict) -> bool:
+def _choice(p, key: str, default: str, allowed: tuple[str, ...]) -> str:
+    value = p.get(key, default)
+    if value not in allowed:
+        raise _BadRecord(f"unknown {key} {value!r}")
+    return value
+
+
+def _mode(p, mode: str) -> str:
+    """The run's mode, or for mode '-' the record's own (strict by default)."""
+    return mode if mode != "-" else _choice(p, "mode", "strict", ("strict", "lax"))
+
+
+def _level(p) -> str:
+    return _choice(p, "level", "I", ("I", "II"))
+
+
+def _side(p) -> str:
+    return _choice(p, "side", "two_sided", ("two_sided", "left", "right"))
+
+
+def _check_expectations(actual: dict, expect) -> bool:
     """Compare computed values against the keys the claim pins down."""
-    for key, want in expect.items():
-        if key not in actual:
-            return False
-        if actual[key] != want:
-            return False
-    return True
+    return all([actual[key] == want for key, want in _known(expect, actual, "expect").items()])
 
 
-def _set_expect(actual: list, expect) -> bool:
-    if isinstance(expect, dict):
-        ok = True
-        pairs = bool(actual) and isinstance(actual[0], (list, tuple))
-        norm = set(map(tuple, actual)) if pairs else set(actual)
-        if "equals" in expect:
-            want = set(map(tuple, expect["equals"])) if pairs else set(expect["equals"])
-            ok &= norm == want
-        if "contains" in expect:
-            want = set(map(tuple, expect["contains"])) if pairs else set(expect["contains"])
-            ok &= want <= norm
-        if "excludes" in expect:
-            want = set(map(tuple, expect["excludes"])) if pairs else set(expect["excludes"])
-            ok &= not (want & norm)
-        if "count" in expect:
-            ok &= len(actual) == expect["count"]
-        if "nonempty" in expect:
-            ok &= bool(actual) == expect["nonempty"]
-        return bool(ok)
-    return sorted(actual) == sorted(expect)
+# Ledger names that differ from the census ids they read: element, pair and
+# census categories, and the co_idempotent kind.
+_CENSUS_ALIASES = {
+    "unit": "units",
+    "s_unit": "s_units",
+    "zero_divisor": "zero_divisors",
+    "s_zero_divisor": "s_zero_divisor_pairs",
+    "idempotent": "idempotents",
+    "s_idempotent": "s_idempotents",
+    "co_idempotent": "co_idempotents",
+    "nilpotent": "nilpotents",
+    "s_nilpotent": "s_nilpotents",
+    "semi_idempotent": "semi_idempotents",
+    "s_semi_idempotent_1": "s_semi_idempotents_1",
+    "super_idempotent": "super_idempotents",
+    "nontrivial_super_idempotent": "nontrivial_super_idempotents",
+    "semiunit": "semiunits",
+    "s_semiunit": "s_semiunits",
+    "ss": "ss_elements",
+    "sss": "sss_pairs",
+    "clean": "clean_elements",
+    "regular": "regular_elements",
+}
+
+
+def _census(R, name: str, mode: str, policy: str = "nontrivial"):
+    """The census a ledger category or kind names.  Censuses are computed
+    in strict mode with the nontrivial clean policy, so a record may not ask
+    for others."""
+    if mode == "lax":
+        raise _BadRecord("census claims are strict; use mode strict or -")
+    if policy != "nontrivial":
+        raise _BadRecord(f"unknown policy {policy!r}")
+    cid = _CENSUS_ALIASES.get(name, name)
+    if cid not in el.CENSUSES:
+        raise _BadRecord(f"unknown category {name!r}")
+    return el.CENSUSES[cid](R)
+
+
+def _as_set(items) -> set:
+    return {tuple(x) if isinstance(x, (list, tuple)) else x for x in items}
+
+
+_SET_EXPECT = {
+    "equals": lambda got, want: got == _as_set(want),
+    "contains": lambda got, want: _as_set(want) <= got,
+    "excludes": lambda got, want: not (_as_set(want) & got),
+    "count": lambda got, want: len(got) == want,
+    "nonempty": lambda got, want: bool(got) == want,
+}
 
 
 def _eval(entry: ClaimEntry, pool: _RingPool, mode: str) -> bool:
-    p = dict(entry.params)
+    p = _Params(entry.params)
     kind = entry.kind
-    R = pool.get(entry.ring) if entry.ring else None
+    if kind in ("structure", "hyperring", "hyperring_theorem"):
+        R = None
+    elif entry.ring:
+        R = pool.get(entry.ring)
+    else:
+        raise _BadRecord(f"a {kind!r} record needs a 'ring:' field")
 
     if kind == "cardinality":
         return R.cardinality == entry.expect
@@ -182,20 +259,23 @@ def _eval(entry: ClaimEntry, pool: _RingPool, mode: str) -> bool:
         return rg.characteristic(R) == entry.expect
 
     if kind == "element":
-        return _eval_element(R, p, entry.expect, mode)
+        return _eval_subject(R, p, entry.expect, mode, (p["element"],))
     if kind == "pair":
-        return _eval_pair(R, p, entry.expect)
+        x, y = p["pair"]
+        return _eval_subject(R, p, entry.expect, mode, (x, y))
     if kind == "census":
-        return _eval_census(R, p, entry.expect)
+        _known(p, ("category", "policy"), "params")
+        got = _as_set(_census(R, p["category"], mode, p.get("policy", "nontrivial")))
+        expect = _known(entry.expect, _SET_EXPECT, "expect")
+        return all([_SET_EXPECT[key](got, want) for key, want in expect.items()])
     if kind == "co_idempotent":
-        _, _, _, co = el.classify_idempotents(R)
-        got = co.get(p["element"], [])
+        got = _census(R, kind, mode).get(p["element"], [])
         ok = True
         if "contains" in p:
             ok &= set(p["contains"]) <= set(got)
         if "min_count" in p:
             ok &= len(got) >= p["min_count"]
-        return ok is True and bool(entry.expect)
+        return ok == entry.expect
 
     if kind == "subset":
         return _eval_subset(R, p, entry.expect, mode)
@@ -204,147 +284,51 @@ def _eval(entry: ClaimEntry, pool: _RingPool, mode: str) -> bool:
     if kind == "lattice":
         return _eval_lattice(R, p, entry.expect, mode)
     if kind == "predicate":
-        return _eval_predicate(R, p, entry.expect, mode)
+        v = pr.run_predicates(R, only=[p["id"]], mode=_mode(p, mode))[p["id"]]
+        return ("not-applicable" if v.verdict is None else bool(v.verdict)) == entry.expect
     if kind == "structure":
         return _eval_structure(p, entry.expect)
     if kind == "hyperring":
         h = rg.hyperring(p["n"], p["q"], p["op"])
         actual = {"pairs": sorted([list(x) for x in h.pairs]), "subring": h.is_subring}
-        expect = dict(entry.expect)
+        expect = dict(_known(entry.expect, actual, "expect"))
         if "pairs" in expect:
             expect["pairs"] = sorted([list(x) for x in expect["pairs"]])
         return _check_expectations(actual, expect)
     if kind == "hyperring_theorem":
         return _eval_hyperring_theorem(p["max_n"], p.get("claim", "named_and_partitions")) == entry.expect
     if kind == "quotient":
-        mask = mask_of(p["ideal"])
-        Q = rg.quotient_ring(R, mask)
-        flags = pr.basic_census(Q)
-        actual = {"cardinality": Q.cardinality, "field": bool(flags["field"].verdict)}
-        return _check_expectations(actual, expect=entry.expect)
-    raise LedgerFormatError(f"unknown claim kind {kind!r}", 0)
+        Q = rg.quotient_ring(R, mask_of(p["ideal"]))
+        field = pr.run_predicates(Q, only=["field"])["field"]
+        actual = {"cardinality": Q.cardinality, "field": bool(field.verdict)}
+        return _check_expectations(actual, entry.expect)
+    raise _BadRecord(f"unknown claim kind {kind!r}")
 
 
-def _eval_element(R, p, expect, mode) -> bool:
-    cat = p["category"]
-    x = p["element"]
-    witness = p.get("witness")
-    if cat == "unit":
-        units, _, _ = el.classify_units(R)
-        actual = x in units
-    elif cat == "s_unit":
-        _, s_units, _ = el.classify_units(R)
-        actual = x in s_units
-        if actual and witness:
-            rec = el.WitnessRecord("s_unit", (x,), witness, "ledger")
-            actual = el.verify_witness(R, rec)
-    elif cat == "zero_divisor":
-        zd, _, _ = el.classify_zero_divisors(R)
-        actual = x in zd
-    elif cat == "idempotent":
-        idem, _, _, _ = el.classify_idempotents(R)
-        actual = x in idem
-    elif cat == "s_idempotent":
-        _, s_idem, _, _ = el.classify_idempotents(R)
-        actual = x in s_idem
-        if actual and witness:
-            rec = el.WitnessRecord("s_idempotent", (x,), witness, "ledger")
-            actual = el.verify_witness(R, rec)
-    elif cat == "nilpotent":
-        nil, _, _ = el.classify_nilpotents(R)
-        actual = x in nil
-    elif cat == "s_nilpotent":
-        _, s_nil, _ = el.classify_nilpotents(R)
-        actual = x in s_nil
-        if actual and witness:
-            rec = el.WitnessRecord("s_nilpotent", (x,), witness, "ledger")
-            actual = el.verify_witness(R, rec)
-    elif cat == "semi_idempotent":
-        actual = any(v.element == x and v.qualifies for v in el.semi_idempotents(R))
-    elif cat == "s_semi_idempotent_1":
-        verdicts = el.semi_idempotents(R, "s_level_1", mode if mode != "-" else "strict")
-        v = next(v for v in verdicts if v.element == x)
-        actual = v.qualifies
-        if actual and "ideal" in p:
-            actual = v.generated_ideal == mask_of(p["ideal"])
-        if actual and "certificate" in p:
-            actual = v.certificate == mask_of(p["certificate"])
-    elif cat == "super_idempotent":
-        actual = any(v.element == x for v in el.super_idempotents(R))
-    elif cat == "nontrivial_super_idempotent":
-        actual = any(v.element == x and not v.trivial for v in el.super_idempotents(R))
-    elif cat == "semiunit":
-        out, _ = el.semiunits(R)
-        actual = x in out
-        if actual and witness:
-            rec = el.WitnessRecord("semiunit", (x,), witness, "ledger")
-            actual = el.verify_witness(R, rec)
-    elif cat == "s_semiunit":
-        out, _ = el.semiunits(R, "smarandache")
-        actual = x in out
-    elif cat == "ss":
-        ss, _ = el.ss_elements(R)
-        actual = x in ss
-    elif cat == "regular":
-        actual = x in el.regular_elements(R)
-    elif cat == "clean":
-        actual = x in el.clean_elements(R, p.get("policy", "nontrivial"))
-    else:
-        raise LedgerFormatError(f"unknown element category {cat!r}", 0)
+def _eval_subject(R, p, expect, mode, subject: tuple[int, ...]) -> bool:
+    """Element and pair claims: is the subject in the census its category
+    names, with the record's witness (if any) re-verified."""
+    semi = p["category"] == "s_semi_idempotent_1"
+    keys = ("category", "element" if len(subject) == 1 else "pair", "witness", "policy")
+    _known(p, keys + (("ideal", "certificate") if semi else ()), "params")
+    for x in subject:
+        if not isinstance(x, int) or not 0 <= x < R.cardinality:
+            raise _BadRecord(f"element {x!r} is not in {R.name}")
+    census = _census(R, p["category"], mode, p.get("policy", "nontrivial"))
+    actual = (subject if len(subject) == 2 else subject[0]) in census
+    if actual and "witness" in p:
+        roles = dict(zip("ab", p["witness"], strict=True)) if len(subject) == 2 else p["witness"]
+        rec = el.WitnessRecord(p["category"], subject, _Params(roles), "ledger")
+        actual = el.verify_witness(R, rec)
+    if actual and semi:
+        # the generated ideal <x^2 - x> and its field certificate, as stated
+        (v,) = [v for v in el.semi_idempotents(R, "s_level_1") if v.element == subject[0]]
+        actual = all([
+            mask_of(p[key]) == value
+            for key, value in (("ideal", v.generated_ideal), ("certificate", v.certificate))
+            if key in p
+        ])
     return actual == expect
-
-
-def _eval_pair(R, p, expect) -> bool:
-    cat = p["category"]
-    x, y = p["pair"]
-    if cat == "s_zero_divisor":
-        _, pairs, _ = el.classify_zero_divisors(R)
-        actual = (x, y) in pairs
-        if actual and "witness" in p:
-            a, b = p["witness"]
-            rec = el.WitnessRecord("s_zero_divisor", (x, y), {"a": a, "b": b}, "ledger")
-            actual = el.verify_witness(R, rec)
-    elif cat == "sss":
-        _, sss = el.ss_elements(R)
-        actual = (x, y) in sss
-    else:
-        raise LedgerFormatError(f"unknown pair category {cat!r}", 0)
-    return actual == expect
-
-
-def _eval_census(R, p, expect) -> bool:
-    cat = p["category"]
-    if cat == "idempotents":
-        got, _, _, _ = el.classify_idempotents(R)
-    elif cat == "s_idempotents":
-        _, got, _, _ = el.classify_idempotents(R)
-    elif cat == "units":
-        got, _, _ = el.classify_units(R)
-    elif cat == "s_units":
-        _, got, _ = el.classify_units(R)
-    elif cat == "zero_divisors":
-        got, _, _ = el.classify_zero_divisors(R)
-    elif cat == "nilpotents":
-        got, _, _ = el.classify_nilpotents(R)
-    elif cat == "s_nilpotents":
-        _, got, _ = el.classify_nilpotents(R)
-    elif cat == "semiunits":
-        got, _ = el.semiunits(R)
-    elif cat == "clean":
-        got = el.clean_elements(R, p.get("policy", "nontrivial"))
-    elif cat == "regular":
-        got = el.regular_elements(R)
-    elif cat == "ss":
-        got, _ = el.ss_elements(R)
-    elif cat == "sss_pairs":
-        _, got = el.ss_elements(R)
-        got = [list(t) for t in got]
-        if isinstance(expect, dict) and "contains" in expect:
-            expect = dict(expect)
-            expect["contains"] = [list(t) for t in expect["contains"]]
-    else:
-        raise LedgerFormatError(f"unknown census category {cat!r}", 0)
-    return _set_expect(got, expect)
 
 
 def _eval_subset(R, p, expect, mode) -> bool:
@@ -354,25 +338,21 @@ def _eval_subset(R, p, expect, mode) -> bool:
     if prop == "subring":
         actual = mask in sub.subrings(R)
     elif prop == "ideal":
-        actual = mask in sub.ideals(R, p.get("side", "two_sided"))
+        actual = mask in sub.ideals(R, _side(p))
     elif prop == "field":
         fs = {f.mask: f.identity for f in sub.field_subsets(R)}
         actual = mask in fs and (p.get("identity") is None or fs[mask] == p["identity"])
     elif prop == "s_ideal":
-        m = mode if mode != "-" else p.get("mode", "strict")
         actual = mask in {
-            v.mask
-            for v in sub.s_ideals(R, p.get("level", "I"), m, include_trivial=False)
+            v.mask for v in sub.s_ideals(R, _level(p), _mode(p, mode), include_trivial=False)
         }
     elif prop == "s_subring":
-        m = mode if mode != "-" else p.get("mode", "strict")
-        actual = mask in {v.mask for v in sub.s_subrings(R, p.get("level", "I"), m)}
+        actual = mask in {v.mask for v in sub.s_subrings(R, _level(p), _mode(p, mode))}
     elif prop == "s_pseudo_ideal":
         rel = mask_of(p["related_field"])
-        actual = mask in sub.s_pseudo_ideals(R, rel, p.get("side", "two_sided"))
+        actual = mask in sub.s_pseudo_ideals(R, rel, _side(p))
     elif prop in ("s_maximal_ideal", "s_minimal_ideal"):
-        m = mode if mode != "-" else p.get("mode", "strict")
-        fam = sub.s_ideals(R, p.get("level", "I"), m)
+        fam = sub.s_ideals(R, _level(p), _mode(p, mode))
         flags = {f.mask: f for f in sub.s_maximal_minimal(R, fam)}
         if prop == "s_maximal_ideal":
             actual = mask in flags and flags[mask].s_maximal
@@ -388,55 +368,40 @@ def _eval_subset(R, p, expect, mode) -> bool:
         }[prop]
         actual, _ = pr.law_holds_on(R, members, law, p.get("p"))
     else:
-        raise LedgerFormatError(f"unknown subset property {prop!r}", 0)
+        raise _BadRecord(f"unknown subset property {prop!r}")
     return actual == expect
 
 
+def _family(R, p, mode) -> list[int]:
+    """Masks of the family a family or lattice record names."""
+    _known(p, ("family", "level", "mode", "include_trivial"), "params")
+    fid = p["family"]
+    if fid not in sub.FAMILIES:
+        raise _BadRecord(f"unknown family {fid!r}")
+    members = sub.FAMILIES[fid](R, _level(p), _mode(p, mode), p.get("include_trivial", True))
+    return [getattr(m, "mask", m) for m in members]
+
+
+_FAMILY_EXPECT = {
+    "count": lambda fam, want: len(fam) == want,
+    "contains_subset": lambda fam, want: mask_of(want) in fam,
+    "not_contains_subset": lambda fam, want: mask_of(want) not in fam,
+    "size_spectrum_within": lambda fam, want: {m.bit_count() for m in fam} <= set(want),
+    "no_member_of_size": lambda fam, want: all(m.bit_count() != want for m in fam),
+    "exists_member_of_size": lambda fam, want: any(m.bit_count() == want for m in fam),
+}
+
+
 def _eval_family(R, p, expect, mode) -> bool:
-    fam = _family_masks(R, p, mode)
-    ok = True
-    if "count" in expect:
-        ok &= len(fam) == expect["count"]
-    if "contains_subset" in expect:
-        ok &= mask_of(expect["contains_subset"]) in fam
-    if "not_contains_subset" in expect:
-        ok &= mask_of(expect["not_contains_subset"]) not in fam
-    if "size_spectrum_within" in expect:
-        ok &= {m.bit_count() for m in fam} <= set(expect["size_spectrum_within"])
-    if "no_member_of_size" in expect:
-        ok &= all(m.bit_count() != expect["no_member_of_size"] for m in fam)
-    if "exists_member_of_size" in expect:
-        ok &= any(m.bit_count() == expect["exists_member_of_size"] for m in fam)
-    return bool(ok)
-
-
-def _family_masks(R, p, mode) -> list[int]:
-    name = p["family"]
-    m = mode if mode != "-" else p.get("mode", "strict")
-    if name == "ideals":
-        return sub.ideals(R, p.get("side", "two_sided"))
-    if name == "right_ideals":
-        return sub.ideals(R, "right")
-    if name == "left_ideals":
-        return sub.ideals(R, "left")
-    if name == "subrings":
-        return sub.subrings(R)
-    if name == "additive_subgroups":
-        return sub.additive_subgroups(R)
-    if name == "field_subsets":
-        return [f.mask for f in sub.field_subsets(R)]
-    if name == "s_ideals":
-        return [
-            v.mask
-            for v in sub.s_ideals(R, p.get("level", "I"), m, p.get("include_trivial", True))
-        ]
-    if name == "s_subrings":
-        return [v.mask for v in sub.s_subrings(R, p.get("level", "I"), m)]
-    raise LedgerFormatError(f"unknown family {name!r}", 0)
+    fam = _family(R, p, mode)
+    expect = _known(expect, _FAMILY_EXPECT, "expect")
+    return all([_FAMILY_EXPECT[key](fam, want) for key, want in expect.items()])
 
 
 def _eval_lattice(R, p, expect, mode) -> bool:
-    fam = _family_masks(R, p, mode)
+    shape_keys = ("is_lattice", "node_count", "chain_length", "is_chain")
+    expect = _known(expect, (*shape_keys, *IDENTITIES, "pentagon_nodes"), "expect")
+    fam = _family(R, p, mode)
     try:
         poset = poset_from_family(fam)
     except ValueError:
@@ -445,44 +410,24 @@ def _eval_lattice(R, p, expect, mode) -> bool:
         lat = lattice_from_poset(poset)
     except NotALatticeError:
         lat = None
-    ok = True
-    if "is_lattice" in expect:
-        ok &= (lat is not None) == expect["is_lattice"]
-    if "node_count" in expect:
-        ok &= len(poset.nodes) == expect["node_count"]
     longest, total = chain_stats(poset)
-    if "chain_length" in expect:
-        ok &= longest == expect["chain_length"]
-    if "is_chain" in expect:
-        ok &= total == expect["is_chain"]
-    if lat is not None:
-        for name in ("modular", "distributive", "quasi_distributive", "supermodular"):
-            if name in expect:
-                ok &= check_identity(lat, name).holds == expect[name]
-        if "pentagon_nodes" in expect:
-            want = frozenset(mask_of(s) for s in expect["pentagon_nodes"])
-            pents = forbidden_sublattices(lat, "pentagon")
-            got = {frozenset(poset.nodes[i] for i in t) for t in pents}
-            ok &= want in got
-    elif any(k in expect for k in ("modular", "distributive", "pentagon_nodes")):
-        ok = False
+    shape = dict(zip(shape_keys, (lat is not None, len(poset.nodes), longest, total)))
+    ok = all([shape[key] == want for key, want in expect.items() if key in shape])
+    if lat is None:
+        # identities and sublattices are claims about a lattice
+        return ok and all(key in shape for key in expect)
+    for name in IDENTITIES:
+        if name in expect:
+            ok &= check_identity(lat, name).holds == expect[name]
+    if "pentagon_nodes" in expect:
+        want = frozenset(mask_of(s) for s in expect["pentagon_nodes"])
+        pents = forbidden_sublattices(lat, "pentagon")
+        ok &= want in {frozenset(poset.nodes[i] for i in t) for t in pents}
     return bool(ok)
 
 
-def _eval_predicate(R, p, expect, mode) -> bool:
-    m = mode if mode != "-" else p.get("mode", "strict")
-    name = p["id"]
-    only = [name]
-    verdicts = pr.run_predicates(R, only=only, mode=m)
-    if name not in verdicts:
-        raise LedgerFormatError(f"unknown predicate {name!r}", 0)
-    v = verdicts[name]
-    actual = "not-applicable" if v.verdict is None else bool(v.verdict)
-    return actual == expect
-
-
 def _eval_structure(p, expect) -> bool:
-    s = _structure_from_text(p["structure"])
+    s = specparse.structure_from_text(p["structure"])
     check = p["check"]
     if check == "order":
         return s.size == expect
@@ -503,7 +448,7 @@ def _eval_structure(p, expect) -> bool:
     if check == "commutative":
         comm = bool((s.table == s.table.T).all())
         return comm == expect
-    raise LedgerFormatError(f"unknown structure check {check!r}", 0)
+    raise _BadRecord(f"unknown structure check {check!r}")
 
 
 def _eval_hyperring_theorem(max_n: int, claim: str) -> bool:
@@ -575,6 +520,8 @@ def run_claims(entries: list[ClaimEntry], id_filter: str | None = None) -> list[
         except CapacityError as e:
             computed = "CAPACITY-SKIPPED"
             detail = str(e)
+        except (_BadRecord, SpecSyntaxError, ValueError) as e:
+            raise LedgerFormatError(f"claim {entry.id!r}: {e}", entry.line) from None
         results.append(ClaimResult(entry, computed, computed == entry.status, detail))
     return results
 

@@ -1,8 +1,13 @@
 """Command line interface.
 
+Family, identity and predicate names are read from the tables that own
+them (substructures.FAMILIES, lattices.IDENTITIES, predicates.PREDICATES);
+the CLI spells family ids with hyphens (left-ideals).
+
 Exit status: 0 success, 1 claim mismatch, 2 usage or parse error (a
-bad spec, or a size the constructors reject such as Z0), 3 capacity (the
-request exceeds configured enumeration caps).
+bad spec, a bad ledger, an unknown id, an unreadable or unwritable file, or
+a size the constructors reject such as Z0), 3 capacity (the request exceeds
+configured enumeration caps).
 """
 
 from __future__ import annotations
@@ -16,62 +21,28 @@ from . import report as rp
 from . import specparse
 from .errors import CapacityError, LedgerFormatError, NotALatticeError, SpecSyntaxError
 from .lattices import (
+    IDENTITIES,
     check_identity,
     forbidden_sublattices,
     export_hasse,
     lattice_from_poset,
     poset_from_family,
 )
-from .predicates import run_predicates
-from .substructures import (
-    additive_subgroups,
-    field_subsets,
-    ideals,
-    s_ideals,
-    s_subrings,
-    subrings,
-)
+from .predicates import PREDICATES, run_predicates
+from .substructures import FAMILIES
 
-_FAMILY_CHOICES = [
-    "additive-subgroups",
-    "subrings",
-    "ideals",
-    "left-ideals",
-    "right-ideals",
-    "field-subsets",
-    "s-subrings",
-    "s-ideals",
-]
-
-_IDENTITY_CHOICES = ["modular", "distributive", "quasi_distributive", "supermodular"]
-
-
-def _family_members(R, name: str, level: str, mode: str, include_trivial: bool):
-    if name == "additive-subgroups":
-        return additive_subgroups(R)
-    if name == "subrings":
-        return subrings(R)
-    if name == "ideals":
-        return ideals(R, "two_sided")
-    if name == "left-ideals":
-        return ideals(R, "left")
-    if name == "right-ideals":
-        return ideals(R, "right")
-    if name == "field-subsets":
-        return field_subsets(R)
-    if name == "s-subrings":
-        return s_subrings(R, level, mode)
-    if name == "s-ideals":
-        return s_ideals(R, level, mode, include_trivial)
-    raise ValueError(f"unknown family {name!r}")
-
-
-def _masks(members):
-    return [m if isinstance(m, int) else m.mask for m in members]
+def _ids(text: str, known, what: str) -> list[str]:
+    """The comma-separated ids of an option, each checked against its table."""
+    ids = [name for name in text.split(",") if name]
+    for name in ids:
+        if name not in known:
+            raise ValueError(f"unknown {what} {name!r}")
+    return ids
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="srings", description=__doc__)
+    families = [fid.replace("_", "-") for fid in FAMILIES]
     subs = parser.add_subparsers(dest="command", required=True)
 
     c = subs.add_parser("classify", help="full special-element census of a ring")
@@ -79,17 +50,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("substructures", help="enumerate a substructure family")
     s.add_argument("spec")
-    s.add_argument("--kind", choices=_FAMILY_CHOICES, required=True)
+    s.add_argument("--kind", choices=families, required=True)
     s.add_argument("--level", choices=["I", "II"], default="I")
     s.add_argument("--mode", choices=["strict", "lax"], default="strict")
     s.add_argument("--no-trivial", action="store_true", help="drop the conventional {0} and R")
 
     l = subs.add_parser("lattice", help="analyse the inclusion lattice of a family")
     l.add_argument("spec")
-    l.add_argument("--family", choices=_FAMILY_CHOICES, required=True)
+    l.add_argument("--family", choices=families, required=True)
     l.add_argument("--level", choices=["I", "II"], default="I")
     l.add_argument("--mode", choices=["strict", "lax"], default="strict")
-    l.add_argument("--check", default="", help="comma-separated identities: " + ",".join(_IDENTITY_CHOICES))
+    l.add_argument("--check", default="", help="comma-separated identities: " + ",".join(IDENTITIES))
     l.add_argument("--pentagon", action="store_true", help="search for N5 sublattices")
     l.add_argument("--diamond", action="store_true", help="search for M3 sublattices")
     l.add_argument("--dot", metavar="PATH", help="write the Hasse diagram as DOT")
@@ -122,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return _dispatch(args)
-    except (SpecSyntaxError, LedgerFormatError, ValueError) as e:
+    except (SpecSyntaxError, LedgerFormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CapacityError as e:
@@ -138,7 +109,7 @@ def _dispatch(args) -> int:
 
     if args.command == "substructures":
         R = specparse.ring_from_text(args.spec)
-        members = _family_members(R, args.kind, args.level, args.mode, not args.no_trivial)
+        members = FAMILIES[args.kind.replace("-", "_")](R, args.level, args.mode, not args.no_trivial)
         doc = {
             "schema": rp.SCHEMA,
             "ring": rp.ring_header(args.spec, R),
@@ -148,9 +119,10 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "lattice":
+        checks = _ids(args.check, IDENTITIES, "identity")
         R = specparse.ring_from_text(args.spec)
-        members = _family_members(R, args.family, args.level, args.mode, True)
-        poset = poset_from_family(_masks(members))
+        members = FAMILIES[args.family.replace("-", "_")](R, args.level, args.mode, True)
+        poset = poset_from_family(getattr(m, "mask", m) for m in members)
         lattice = None
         reason = None
         try:
@@ -160,10 +132,7 @@ def _dispatch(args) -> int:
         identities = {}
         pentagons = None
         if lattice is not None:
-            for name in filter(None, args.check.split(",")):
-                if name not in _IDENTITY_CHOICES:
-                    print(f"error: unknown identity {name!r}", file=sys.stderr)
-                    return 2
+            for name in checks:
                 identities[name] = check_identity(lattice, name)
             if args.pentagon:
                 pentagons = forbidden_sublattices(lattice, "pentagon")
@@ -180,15 +149,15 @@ def _dispatch(args) -> int:
             doc["lattices"][0]["diamonds"] = [
                 [rp.subset_record(poset.nodes[i], R) for i in tup] for tup in diamonds
             ]
-        print(rp.dumps(doc), end="")
         if args.dot:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(export_hasse(poset, R))
+        print(rp.dumps(doc), end="")
         return 0
 
     if args.command == "predicates":
+        only = _ids(args.only, {name for ids, _ in PREDICATES for name in ids}, "predicate") or None
         R = specparse.ring_from_text(args.spec)
-        only = [s for s in args.only.split(",") if s] or None
         verdicts = run_predicates(R, only=only, mode=args.mode)
         doc = {
             "schema": rp.SCHEMA,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -106,66 +107,73 @@ def check_identity(
     tuple.  The source's own wording of the two 4-variable definitions is
     not in this repository, so these formulas are checked as written here.
     """
-    k = len(L.poset.nodes)
+    if identity not in IDENTITIES:
+        raise ValueError(f"unknown identity {identity!r}")
+    bad = IDENTITIES[identity](L, limits)
+    return IdentityVerdict(identity, bad is None, bad)
+
+
+def _modular(L: LatticeModel, limits: EngineLimits) -> tuple[int, ...] | None:
     meet, join, leq = L.meet, L.join, L.poset.leq
-
-    if identity == "modular":
-        for x in range(k):
-            for z in range(k):
-                if not leq[x, z]:
-                    continue
-                lhs = join[x, meet[:, z]]
-                rhs = meet[join[x, :], z]
-                bad = np.where(lhs != rhs)[0]
-                if len(bad):
-                    return IdentityVerdict(identity, False, (x, int(bad[0]), z))
-        return IdentityVerdict(identity, True, None)
-
-    if identity == "distributive":
-        for x in range(k):
-            lhs = join[x, meet]  # x v (y ^ z)
-            rhs = meet[np.ix_(join[x], join[x])]  # (x v y) ^ (x v z)
-            bad = np.argwhere(lhs != rhs)
+    k = len(L.poset.nodes)
+    for x in range(k):
+        for z in range(k):
+            if not leq[x, z]:
+                continue
+            lhs = join[x, meet[:, z]]
+            rhs = meet[join[x, :], z]
+            bad = np.where(lhs != rhs)[0]
             if len(bad):
-                y, z = bad[0]
-                return IdentityVerdict(identity, False, (x, int(y), int(z)))
-        return IdentityVerdict(identity, True, None)
-
-    if identity in ("quasi_distributive", "supermodular"):
-        if k > limits.identity4_cap:
-            raise CapacityError(f"{k} nodes above 4-variable identity cap {limits.identity4_cap}")
-        for tup in itertools.product(range(k), repeat=4):
-            if not _check4(identity, meet, join, tup):
-                return IdentityVerdict(identity, False, tup)
-        return IdentityVerdict(identity, True, None)
-
-    raise ValueError(f"unknown identity {identity!r}")
+                return (x, int(bad[0]), z)
+    return None
 
 
-def _check4(identity, meet, join, tup) -> bool:
-    """Whether the 4-variable ``identity`` holds at node tuple ``tup``.
+def _distributive(L: LatticeModel, limits: EngineLimits) -> tuple[int, ...] | None:
+    meet, join = L.meet, L.join
+    for x in range(len(L.poset.nodes)):
+        lhs = join[x, meet]  # x v (y ^ z)
+        rhs = meet[np.ix_(join[x], join[x])]  # (x v y) ^ (x v z)
+        bad = np.argwhere(lhs != rhs)
+        if len(bad):
+            y, z = bad[0]
+            return (x, int(y), int(z))
+    return None
 
-    quasi_distributive needs both the identity and its order dual at
-    ``tup``; supermodular is the single identity given in check_identity.
-    """
+
+def _four_variable(holds_at, L: LatticeModel, limits: EngineLimits) -> tuple[int, ...] | None:
+    """The first node 4-tuple, in lexicographic order, where ``holds_at`` fails."""
+    k = len(L.poset.nodes)
+    if k > limits.identity4_cap:
+        raise CapacityError(f"{k} nodes above 4-variable identity cap {limits.identity4_cap}")
+    meet, join = L.meet, L.join
+    for tup in itertools.product(range(k), repeat=4):
+        if not holds_at(meet, join, tup):
+            return tup
+    return None
+
+
+def _quasi_distributive_at(meet, join, tup) -> bool:
+    """The identity and its order dual, both at ``tup``."""
     x, y, z, u = tup
-    if identity == "quasi_distributive":
-        lhs = meet[join[x, y], join[z, u]]
-        rhs = join[
-            join[meet[x, join[z, u]], meet[y, join[z, u]]],
-            join[meet[z, join[x, y]], meet[u, join[x, y]]],
-        ]
-        if lhs != rhs:
-            return False
-        # order dual
-        lhs2 = join[meet[x, y], meet[z, u]]
-        rhs2 = meet[
-            meet[join[x, meet[z, u]], join[y, meet[z, u]]],
-            meet[join[z, meet[x, y]], join[u, meet[x, y]]],
-        ]
-        return lhs2 == rhs2
-    # supermodular: (a+b)(a+c)(a+d) = a + bc(a+d) + bd(a+c) + dc(a+b),
-    # with + as join and juxtaposition as meet
+    lhs = meet[join[x, y], join[z, u]]
+    rhs = join[
+        join[meet[x, join[z, u]], meet[y, join[z, u]]],
+        join[meet[z, join[x, y]], meet[u, join[x, y]]],
+    ]
+    if lhs != rhs:
+        return False
+    # order dual
+    lhs2 = join[meet[x, y], meet[z, u]]
+    rhs2 = meet[
+        meet[join[x, meet[z, u]], join[y, meet[z, u]]],
+        meet[join[z, meet[x, y]], join[u, meet[x, y]]],
+    ]
+    return lhs2 == rhs2
+
+
+def _supermodular_at(meet, join, tup) -> bool:
+    # (a+b)(a+c)(a+d) = a + bc(a+d) + bd(a+c) + dc(a+b), with + as join and
+    # juxtaposition as meet
     a, b, c, d = tup
     lhs = meet[meet[join[a, b], join[a, c]], join[a, d]]
     rhs = join[
@@ -173,6 +181,16 @@ def _check4(identity, meet, join, tup) -> bool:
         join[meet[meet[b, d], join[a, c]], meet[meet[d, c], join[a, b]]],
     ]
     return lhs == rhs
+
+
+# The lattice identities the CLI and the claim ledger check, in the CLI's
+# order: id -> checker returning the least failing node tuple, or None.
+IDENTITIES = {
+    "modular": _modular,
+    "distributive": _distributive,
+    "quasi_distributive": partial(_four_variable, _quasi_distributive_at),
+    "supermodular": partial(_four_variable, _supermodular_at),
+}
 
 
 def forbidden_sublattices(

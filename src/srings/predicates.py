@@ -23,6 +23,7 @@ from .substructures import (
     has_s_ring,
     ideals,
     s_ideals,
+    s_simplicity,
     s_subrings,
     subrings,
     units_mask,
@@ -51,7 +52,7 @@ def commutativity(R: RingHandle) -> PredicateVerdict:
     return PredicateVerdict("commutative", True)
 
 
-def basic_census(R: RingHandle) -> dict[str, PredicateVerdict]:
+def basic_census(R: RingHandle) -> list[PredicateVerdict]:
     """Field / integral domain / division ring / boolean flags by direct scan."""
     comm = commutativity(R)
     units = units_mask(R)
@@ -64,14 +65,14 @@ def basic_census(R: RingHandle) -> dict[str, PredicateVerdict]:
     domain = bool(comm.verdict) and not zd and n > 1
     division = (not comm.verdict) and nonzero_all_units and not zd
     boolean = all(R.mul(x, x) == x for x in R.elements())
-    return {
-        "commutative": comm,
-        "field": PredicateVerdict("field", bool(field), counterexample=None if field else (zd[:1] or None)),
-        "integral_domain": PredicateVerdict("integral_domain", domain, counterexample=zd[:1] or None),
-        "division_ring": PredicateVerdict("division_ring", bool(division)),
-        "boolean": PredicateVerdict("boolean", boolean),
-        "has_one": PredicateVerdict("has_one", R.one is not None),
-    }
+    return [
+        comm,
+        PredicateVerdict("field", bool(field), counterexample=None if field else (zd[:1] or None)),
+        PredicateVerdict("integral_domain", domain, counterexample=zd[:1] or None),
+        PredicateVerdict("division_ring", bool(division)),
+        PredicateVerdict("boolean", boolean),
+        PredicateVerdict("has_one", R.one is not None),
+    ]
 
 
 # -- S-ring levels -----------------------------------------------------------------
@@ -80,6 +81,10 @@ def basic_census(R: RingHandle) -> dict[str, PredicateVerdict]:
 def s_ring(R: RingHandle, level: str = "I", mode: str = "strict") -> PredicateVerdict:
     ok, cert = has_s_ring(R, level, mode)
     return PredicateVerdict(f"s_ring_{level}", ok, witness=cert, mode=mode)
+
+
+def s_simple(R: RingHandle, level: str = "I", mode: str = "strict") -> PredicateVerdict:
+    return PredicateVerdict(f"s_simple_{level}", s_simplicity(R, level, mode), mode=mode)
 
 
 def s_commutative_II(R: RingHandle, mode: str = "strict") -> tuple[PredicateVerdict, PredicateVerdict]:
@@ -279,7 +284,7 @@ def s_localized_law(
 # -- S-domain family -----------------------------------------------------------------
 
 
-def s_domain_flags(R: RingHandle, mode: str = "strict") -> dict[str, PredicateVerdict]:
+def s_domain_flags(R: RingHandle, mode: str = "strict") -> list[PredicateVerdict]:
     comm = bool(commutativity(R).verdict)
     _, s_pairs, _ = classify_zero_divisors(R)
     nil, s_nil, _ = classify_nilpotents(R)
@@ -291,17 +296,13 @@ def s_domain_flags(R: RingHandle, mode: str = "strict") -> dict[str, PredicateVe
             s_semiprime = False
             counter = v.mask
             break
-    return {
-        "s_integral_domain": PredicateVerdict(
-            "s_integral_domain", comm and not s_pairs, counterexample=s_pairs[:1] or None
-        ),
-        "s_division_ring": PredicateVerdict(
-            "s_division_ring", (not comm) and not s_pairs, counterexample=s_pairs[:1] or None
-        ),
-        "s_semiprime": PredicateVerdict("s_semiprime", s_semiprime, counterexample=counter, mode=mode),
-        "reduced": PredicateVerdict("reduced", not nil, counterexample=nil[:1] or None),
-        "s_reduced": PredicateVerdict("s_reduced", not s_nil, counterexample=s_nil[:1] or None),
-    }
+    return [
+        PredicateVerdict("s_integral_domain", comm and not s_pairs, counterexample=s_pairs[:1] or None),
+        PredicateVerdict("s_division_ring", (not comm) and not s_pairs, counterexample=s_pairs[:1] or None),
+        PredicateVerdict("s_semiprime", s_semiprime, counterexample=counter, mode=mode),
+        PredicateVerdict("reduced", not nil, counterexample=nil[:1] or None),
+        PredicateVerdict("s_reduced", not s_nil, counterexample=s_nil[:1] or None),
+    ]
 
 
 # -- chain conditions ------------------------------------------------------------------
@@ -311,7 +312,7 @@ def _totally_ordered(masks: list[int]) -> bool:
     return all(a & ~b == 0 or b & ~a == 0 for a in masks for b in masks)
 
 
-def chain_ring_flags(R: RingHandle, mode: str = "strict") -> dict[str, PredicateVerdict]:
+def chain_ring_flags(R: RingHandle, mode: str = "strict") -> list[PredicateVerdict]:
     ideal_masks = ideals(R)
     chain = PredicateVerdict("chain_ring", _totally_ordered(ideal_masks))
     s_masks = [v.mask for v in s_ideals(R, "I", mode)]
@@ -326,19 +327,17 @@ def chain_ring_flags(R: RingHandle, mode: str = "strict") -> dict[str, Predicate
             if _totally_ordered(masks_a):
                 weak = True
                 break
-    return {
-        "chain_ring": chain,
-        "s_chain_ring": s_chain,
-        "s_weakly_chain_ring": PredicateVerdict(
-            "s_weakly_chain_ring", weak, mode=mode, detail=None if s_subs else "no S-subring"
-        ),
-    }
+    return [
+        chain,
+        s_chain,
+        PredicateVerdict("s_weakly_chain_ring", weak, mode=mode, detail=None if s_subs else "no S-subring"),
+    ]
 
 
 # -- dispotent -----------------------------------------------------------------------
 
 
-def dispotent_flags(R: RingHandle, mode: str = "strict") -> dict[str, PredicateVerdict]:
+def dispotent_flags(R: RingHandle, mode: str = "strict") -> list[PredicateVerdict]:
     idem, _, _, _ = classify_idempotents(R)
     disp = PredicateVerdict("dispotent", len(idem) == 2, witness=idem if len(idem) == 2 else None)
     s_disp = None
@@ -353,112 +352,82 @@ def dispotent_flags(R: RingHandle, mode: str = "strict") -> dict[str, PredicateV
                 s_disp = True
                 wit = v.mask
                 break
-        return {
-            "dispotent": disp,
-            "s_dispotent": PredicateVerdict("s_dispotent", s_disp, witness=wit, mode=mode),
-        }
-    return {
-        "dispotent": disp,
-        "s_dispotent": PredicateVerdict("s_dispotent", None, detail="no S-subring", mode=mode),
-    }
+        return [disp, PredicateVerdict("s_dispotent", s_disp, witness=wit, mode=mode)]
+    return [disp, PredicateVerdict("s_dispotent", None, detail="no S-subring", mode=mode)]
 
 
 # -- group / semigroup ring flags -------------------------------------------------------
 
 
-def s_group_semigroup_ring_flags(R: RingHandle, mode: str = "strict") -> dict[str, PredicateVerdict]:
-    out = {}
+def s_group_semigroup_ring_flags(R: RingHandle, mode: str = "strict") -> list[PredicateVerdict]:
     if R.construction == "group_ring":
-        base = R.meta["base"]
-        ok, cert = has_s_ring(base, "I", mode)
-        out["s_group_ring"] = PredicateVerdict("s_group_ring", ok, witness=cert, mode=mode)
-        out["s_semigroup_ring"] = PredicateVerdict(
-            "s_semigroup_ring", None, detail="built over a group, not a semigroup"
-        )
-    elif R.construction == "semigroup_ring":
-        sgrp = R.meta["structure"]
-        ok, wit = is_s_semigroup(sgrp, min_group_size=2)
-        out["s_semigroup_ring"] = PredicateVerdict(
-            "s_semigroup_ring", ok, witness=(wit.members, wit.identity) if wit else None
-        )
-        base = R.meta["base"]
-        ok2, cert = has_s_ring(base, "I", mode)
-        out["s_group_ring"] = PredicateVerdict("s_group_ring", ok2, witness=cert, mode=mode)
-    else:
-        out["s_group_ring"] = PredicateVerdict("s_group_ring", None, detail="not a structure ring")
-        out["s_semigroup_ring"] = PredicateVerdict(
-            "s_semigroup_ring", None, detail="not a structure ring"
-        )
-    return out
+        ok, cert = has_s_ring(R.meta["base"], "I", mode)
+        return [
+            PredicateVerdict("s_group_ring", ok, witness=cert, mode=mode),
+            PredicateVerdict("s_semigroup_ring", None, detail="built over a group, not a semigroup"),
+        ]
+    if R.construction == "semigroup_ring":
+        ok, wit = is_s_semigroup(R.meta["structure"], min_group_size=2)
+        ok2, cert = has_s_ring(R.meta["base"], "I", mode)
+        return [
+            PredicateVerdict("s_group_ring", ok2, witness=cert, mode=mode),
+            PredicateVerdict(
+                "s_semigroup_ring", ok, witness=(wit.members, wit.identity) if wit else None
+            ),
+        ]
+    return [
+        PredicateVerdict("s_group_ring", None, detail="not a structure ring"),
+        PredicateVerdict("s_semigroup_ring", None, detail="not a structure ring"),
+    ]
 
 
 # -- orchestration ------------------------------------------------------------------------
 
 
-_BASIC_IDS = ("commutative", "field", "integral_domain", "division_ring", "boolean", "has_one")
-_DOMAIN_IDS = ("s_integral_domain", "s_division_ring", "s_semiprime", "reduced", "s_reduced")
-_CHAIN_IDS = ("chain_ring", "s_chain_ring", "s_weakly_chain_ring")
-_DISPOTENT_IDS = ("dispotent", "s_dispotent")
-_STRUCTURE_RING_IDS = ("s_group_ring", "s_semigroup_ring")
-_LAW_IDS = ("e_ring", "j_ring", "weakly_boolean", "pre_j_ring", "zero_square")
+# The ring-level predicates the CLI and the claim ledger evaluate, as (ids,
+# group): group(R, mode) returns the verdicts of exactly those ids.
+PREDICATES = (
+    (("commutative", "field", "integral_domain", "division_ring", "boolean", "has_one"),
+     lambda R, mode: basic_census(R)),
+    (("s_ring_I",), lambda R, mode: [s_ring(R, "I", mode)]),
+    (("s_ring_II",), lambda R, mode: [s_ring(R, "II", mode)]),
+    (("s_commutative_II", "s_strongly_commutative_II"), lambda R, mode: s_commutative_II(R, mode)),
+    (("e_ring",), lambda R, mode: [elementwise_law(R, "e_ring")]),
+    (("j_ring",), lambda R, mode: [elementwise_law(R, "j_ring")]),
+    (("weakly_boolean",), lambda R, mode: [elementwise_law(R, "weakly_boolean")]),
+    (("pre_j_ring",), lambda R, mode: [elementwise_law(R, "pre_j_ring")]),
+    (("zero_square",), lambda R, mode: [elementwise_law(R, "zero_square")]),
+    (("s_integral_domain", "s_division_ring", "s_semiprime", "reduced", "s_reduced"),
+     lambda R, mode: s_domain_flags(R, mode)),
+    (("chain_ring", "s_chain_ring", "s_weakly_chain_ring"), lambda R, mode: chain_ring_flags(R, mode)),
+    (("dispotent", "s_dispotent"), lambda R, mode: dispotent_flags(R, mode)),
+    (("s_group_ring", "s_semigroup_ring"), lambda R, mode: s_group_semigroup_ring_flags(R, mode)),
+    (("s_zero_square",),
+     lambda R, mode: [s_localized_law(R, "zero_square", "subring_of_s_subring", mode=mode)]),
+    (("s_e_ring",), lambda R, mode: [s_localized_law(R, "e_ring", "subring_of_s_subring", mode=mode)]),
+    (("s_pre_j_ring",),
+     lambda R, mode: [s_localized_law(R, "pre_j_ring", "subring_of_s_subring", mode=mode)]),
+    (("s_j_ring",), lambda R, mode: [s_localized_law(R, "j_ring", "s_subring", mode=mode)]),
+    (("s_p_ring",), lambda R, mode: [s_localized_law(R, "p_ring", "subring_of_s_ring", mode=mode)]),
+    (("s_simple_I",), lambda R, mode: [s_simple(R, "I", mode)]),
+    (("s_simple_II",), lambda R, mode: [s_simple(R, "II", mode)]),
+)
 
 
 def run_predicates(R: RingHandle, only: list[str] | None = None, mode: str = "strict"):
     """Evaluate the battery; returns verdicts keyed by predicate id.
 
-    With a filter, only the groups a requested id belongs to are computed,
+    With a filter, only the groups holding a requested id are computed,
     which keeps targeted checks possible on rings above the census caps.
     """
+    known = {name for ids, _ in PREDICATES for name in ids}
+    for name in only or ():
+        if name not in known:
+            raise ValueError(f"unknown predicate {name!r}")
     out: dict[str, PredicateVerdict] = {}
-
-    def want(name: str) -> bool:
-        return only is None or name in only
-
-    if any(want(n) for n in _BASIC_IDS):
-        for name, v in basic_census(R).items():
-            if want(name):
-                out[name] = v
-    for level in ("I", "II"):
-        if want(f"s_ring_{level}"):
-            out[f"s_ring_{level}"] = s_ring(R, level, mode)
-    if want("s_commutative_II") or want("s_strongly_commutative_II"):
-        std, strong = s_commutative_II(R, mode)
-        out["s_commutative_II"] = std
-        out["s_strongly_commutative_II"] = strong
-    for law in _LAW_IDS:
-        if want(law):
-            out[law] = elementwise_law(R, law)
-    if any(want(n) for n in _DOMAIN_IDS):
-        for name, v in s_domain_flags(R, mode).items():
-            if want(name):
-                out[name] = v
-    if any(want(n) for n in _CHAIN_IDS):
-        for name, v in chain_ring_flags(R, mode).items():
-            if want(name):
-                out[name] = v
-    if any(want(n) for n in _DISPOTENT_IDS):
-        for name, v in dispotent_flags(R, mode).items():
-            if want(name):
-                out[name] = v
-    if any(want(n) for n in _STRUCTURE_RING_IDS):
-        for name, v in s_group_semigroup_ring_flags(R, mode).items():
-            if want(name):
-                out[name] = v
-    if want("s_zero_square"):
-        out["s_zero_square"] = s_localized_law(R, "zero_square", "subring_of_s_subring", mode=mode)
-    if want("s_e_ring"):
-        out["s_e_ring"] = s_localized_law(R, "e_ring", "subring_of_s_subring", mode=mode)
-    if want("s_pre_j_ring"):
-        out["s_pre_j_ring"] = s_localized_law(R, "pre_j_ring", "subring_of_s_subring", mode=mode)
-    if want("s_j_ring"):
-        out["s_j_ring"] = s_localized_law(R, "j_ring", "s_subring", mode=mode)
-    if want("s_p_ring"):
-        out["s_p_ring"] = s_localized_law(R, "p_ring", "subring_of_s_ring", mode=mode)
-    for level in ("I", "II"):
-        if want(f"s_simple_{level}"):
-            from .substructures import s_simplicity
-
-            out[f"s_simple_{level}"] = PredicateVerdict(
-                f"s_simple_{level}", s_simplicity(R, level, mode), mode=mode
-            )
+    for ids, group in PREDICATES:
+        if only is None or not set(ids).isdisjoint(only):
+            for v in group(R, mode):
+                if only is None or v.predicate in only:
+                    out[v.predicate] = v
     return out

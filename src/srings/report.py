@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .bits import elements_of, fingerprint
-from .elements import ElementCensus, WitnessRecord, full_census
+from .elements import CENSUSES, WitnessRecord
 from .lattices import LatticeModel, PosetModel, chain_stats
 from .rings import RingHandle, characteristic
 from .predicates import PredicateVerdict
@@ -45,41 +45,22 @@ def ring_header(spec_text: str, R: RingHandle) -> dict:
     }
 
 
-def census_report(c: ElementCensus) -> dict:
-    out = {
-        "units": c.units,
-        "s_units": c.s_units,
-        "s_unit_witnesses": {str(k): witness_record(w) for k, w in sorted(c.s_unit_witnesses.items())},
-        "zero_divisors": c.zero_divisors,
-        "s_zero_divisor_pairs": [list(p) for p in c.s_zero_divisor_pairs],
-        "idempotents": c.idempotents,
-        "s_idempotents": c.s_idempotents,
-        "s_idempotent_witnesses": {
-            str(k): witness_record(w) for k, w in sorted(c.s_idempotent_witnesses.items())
-        },
-        "co_idempotents": {str(k): v for k, v in sorted(c.co_idempotents.items())},
-        "nilpotents": c.nilpotents,
-        "s_nilpotents": c.s_nilpotents,
-        "semi_idempotents": c.semi_idempotents,
-        "s_semi_idempotents_1": c.s_semi_idempotents_1,
-        "super_idempotents": c.super_idempotents,
-        "nontrivial_super_idempotents": c.nontrivial_super_idempotents,
-        "s_super_idempotents": c.s_super_idempotents,
-        "ss_elements": c.ss_elements,
-        "sss_pairs": [list(p) for p in c.sss_pairs],
-        "semiunits": c.semiunits,
-        "s_semiunits": c.s_semiunits,
-        "clean_elements": c.clean_elements,
-        "regular_elements": c.regular_elements,
-    }
-    return out
+def _census_json(value):
+    """Witness maps keyed by element, co-idempotent lists, element lists
+    and ordered pairs, as JSON."""
+    if isinstance(value, dict):
+        return {
+            str(k): witness_record(v) if isinstance(v, WitnessRecord) else v
+            for k, v in sorted(value.items())
+        }
+    return [list(v) if isinstance(v, tuple) else v for v in value]
 
 
 def classify_report(spec_text: str, R: RingHandle) -> dict:
     return {
         "schema": SCHEMA,
         "ring": ring_header(spec_text, R),
-        "censuses": census_report(full_census(R)),
+        "censuses": {cid: _census_json(census(R)) for cid, census in CENSUSES.items()},
     }
 
 

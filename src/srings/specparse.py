@@ -202,6 +202,22 @@ def build_structure(atom: GroupAtom | SgrpAtom, limits: EngineLimits = DEFAULT_L
     return structures.build_semigroup(("zn_multiplicative", atom.n), limits)
 
 
+def structure_from_text(text: str, limits: EngineLimits = DEFAULT_LIMITS):
+    """Build the group (C<n>, S<n>, D<n>) or semigroup (S(<n>), Zn*<n>) a
+    group or sgrp atom of the grammar names."""
+    for parse_atom in (_parse_sgrp, _parse_group):
+        sc = _Scanner(text)
+        try:
+            atom = parse_atom(sc)
+        except SpecSyntaxError:
+            continue
+        if sc.done():
+            return build_structure(atom, limits)
+    raise SpecSyntaxError(
+        f"expected a group C<n>, S<n>, D<n> or a semigroup S(<n>), Zn*<n>, got {text!r}", 0
+    )
+
+
 def build_ring(spec: RingSpec, limits: EngineLimits = DEFAULT_LIMITS, validate: bool = True):
     """Construct the ring a spec describes."""
     if isinstance(spec, ZnSpec):

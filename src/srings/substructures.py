@@ -484,6 +484,22 @@ def s_ideals(
     return sorted(out, key=lambda v: v.mask)
 
 
+# The substructure families the CLI and the claim ledger enumerate, in the
+# CLI's order: id -> members(R, level, mode, include_trivial).  Members are
+# masks, or records carrying one in ``.mask``.  The CLI spells each id with
+# hyphens for underscores.
+FAMILIES = {
+    "additive_subgroups": lambda R, level, mode, trivial: additive_subgroups(R),
+    "subrings": lambda R, level, mode, trivial: subrings(R),
+    "ideals": lambda R, level, mode, trivial: ideals(R, "two_sided"),
+    "left_ideals": lambda R, level, mode, trivial: ideals(R, "left"),
+    "right_ideals": lambda R, level, mode, trivial: ideals(R, "right"),
+    "field_subsets": lambda R, level, mode, trivial: field_subsets(R),
+    "s_subrings": lambda R, level, mode, trivial: s_subrings(R, level, mode),
+    "s_ideals": lambda R, level, mode, trivial: s_ideals(R, level, mode, trivial),
+}
+
+
 def has_s_ring(R: RingHandle, level: str = "I", mode: str = "strict", limits=None):
     """Ring-level S-property: a qualifying certificate inside R itself."""
     full = (1 << R.cardinality) - 1
