@@ -331,23 +331,29 @@ def _eval_subject(R, p, expect, mode, subject: tuple[int, ...]) -> bool:
     return actual == expect
 
 
+# Subset properties that are membership in a family of substructures.FAMILIES;
+# an ideal's side picks the family.
+_MEMBERSHIP = {
+    "subring": "subrings",
+    "ideal": {"two_sided": "ideals", "left": "left_ideals", "right": "right_ideals"},
+    "field": "field_subsets",
+    "s_ideal": "s_ideals",
+    "s_subring": "s_subrings",
+}
+
+
 def _eval_subset(R, p, expect, mode) -> bool:
     members = p["subset"]
     mask = mask_of(members)
     prop = p["property"]
-    if prop == "subring":
-        actual = mask in sub.subrings(R)
-    elif prop == "ideal":
-        actual = mask in sub.ideals(R, _side(p))
-    elif prop == "field":
-        fs = {f.mask: f.identity for f in sub.field_subsets(R)}
-        actual = mask in fs and (p.get("identity") is None or fs[mask] == p["identity"])
-    elif prop == "s_ideal":
-        actual = mask in {
-            v.mask for v in sub.s_ideals(R, _level(p), _mode(p, mode), include_trivial=False)
-        }
-    elif prop == "s_subring":
-        actual = mask in {v.mask for v in sub.s_subrings(R, _level(p), _mode(p, mode))}
+    if prop in _MEMBERSHIP:
+        fid = _MEMBERSHIP[prop] if prop != "ideal" else _MEMBERSHIP[prop][_side(p)]
+        # the conventional trivial S-ideals {0} and R are not members here
+        family = sub.FAMILIES[fid](R, _level(p), _mode(p, mode), False)
+        found = {getattr(m, "mask", m): m for m in family}
+        actual = mask in found
+        if actual and prop == "field" and p.get("identity") is not None:
+            actual = found[mask].identity == p["identity"]
     elif prop == "s_pseudo_ideal":
         rel = mask_of(p["related_field"])
         actual = mask in sub.s_pseudo_ideals(R, rel, _side(p))
@@ -401,11 +407,7 @@ def _eval_family(R, p, expect, mode) -> bool:
 def _eval_lattice(R, p, expect, mode) -> bool:
     shape_keys = ("is_lattice", "node_count", "chain_length", "is_chain")
     expect = _known(expect, (*shape_keys, *IDENTITIES, "pentagon_nodes"), "expect")
-    fam = _family(R, p, mode)
-    try:
-        poset = poset_from_family(fam)
-    except ValueError:
-        return expect.get("is_lattice") is False
+    poset = poset_from_family(_family(R, p, mode))
     try:
         lat = lattice_from_poset(poset)
     except NotALatticeError:

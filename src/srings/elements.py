@@ -17,7 +17,7 @@ import numpy as np
 from .bits import contains, elements_of
 from .errors import CapacityError
 from .rings import RingHandle
-from .substructures import _cached, domain_subsets, field_subsets, ideal_generated, units_mask
+from .substructures import _cached, field_subsets, ideal_generated, units_mask
 
 
 @dataclass(frozen=True)
@@ -264,17 +264,17 @@ class SemiIdempotentVerdict:
     element: int
     qualifies: bool
     generated_ideal: int | None  # mask of <x^2 - x>; None for the 0 convention
-    certificate: int | None = None  # field/domain subset of the ideal at S levels
+    certificate: int | None = None  # field subset of the ideal at S-level 1
     certificate_identity: int | None = None
 
 
 @_once_per_ring
-def semi_idempotents(R: RingHandle, level: str = "plain", mode: str = "strict"):
+def semi_idempotents(R: RingHandle, level: str = "plain"):
     """Elements x with x not in <x^2 - x> (or that ideal the whole ring).
 
-    level "plain" counts 0 by convention; s_level_1 / s_level_2 additionally
-    require the generated ideal to be an S-ideal of the level, certified by
-    an embedded field (level 1) or domain (level 2) subset.
+    level "plain" counts 0 by convention; "s_level_1" additionally requires
+    the generated ideal to be an S-ideal, certified by a field subset
+    strictly inside it and other than R (strict mode).
     """
     _ensure_enumerable(R)
     full = (1 << R.cardinality) - 1
@@ -282,13 +282,7 @@ def semi_idempotents(R: RingHandle, level: str = "plain", mode: str = "strict"):
         out = [SemiIdempotentVerdict(R.zero, True, None)]
     else:
         out = []
-    certs = None
-    if level in ("s_level_1", "s_level_2"):
-        lvl = "I" if level == "s_level_1" else "II"
-        if lvl == "I":
-            certs = [(f.mask, f.identity) for f in field_subsets(R)]
-        else:
-            certs = [(m, None) for m in domain_subsets(R) if m.bit_count() >= 2]
+        certs = [(f.mask, f.identity) for f in field_subsets(R)]
     for x in R.elements():
         if x == R.zero:
             continue
@@ -301,15 +295,10 @@ def semi_idempotents(R: RingHandle, level: str = "plain", mode: str = "strict"):
         if not plain_ok:
             out.append(SemiIdempotentVerdict(x, False, ideal))
             continue
-        found = None
-        for cmask, cident in certs:
-            inside = cmask & ~ideal == 0 and (mode == "lax" or cmask != ideal) and cmask != full
-            if inside:
-                found = (cmask, cident)
-                break
-        out.append(
-            SemiIdempotentVerdict(x, found is not None, ideal, *(found or (None, None)))
+        found = next(
+            ((m, e) for m, e in certs if m & ~ideal == 0 and m not in (ideal, full)), (None, None)
         )
+        out.append(SemiIdempotentVerdict(x, found[0] is not None, ideal, *found))
     return out
 
 

@@ -16,9 +16,10 @@ class ValidationError(Exception):
 
 
 class NotALatticeError(Exception):
-    """A subset family has a pair without a unique meet or join."""
+    """A subset family has a pair without a unique meet or join, or is empty
+    (pair None: the empty join, its bottom, does not exist)."""
 
-    def __init__(self, message: str, pair: tuple[int, int], kind: str):
+    def __init__(self, message: str, pair: tuple[int, int] | None, kind: str):
         super().__init__(message)
         self.pair = pair
         self.kind = kind  # "meet" or "join"

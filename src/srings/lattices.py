@@ -23,8 +23,8 @@ from .errors import CapacityError, NotALatticeError
 class PosetModel:
     nodes: tuple[int, ...]  # subset masks, ascending
     leq: np.ndarray  # leq[i, j] iff nodes[i] subseteq nodes[j]
-    bottom: int
-    top: int
+    bottom: int | None  # None unless unique
+    top: int | None
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,9 @@ class IdentityVerdict:
 
 
 def poset_from_family(family) -> PosetModel:
-    """Inclusion order over a subset family; bottom/top must be unique."""
+    """Inclusion order over a subset family, which may be empty or lack a
+    bottom or top; lattice_from_poset rejects those."""
     nodes = tuple(sorted(set(family)))
-    if not nodes:
-        raise ValueError("family is empty")
     k = len(nodes)
     leq = np.zeros((k, k), dtype=bool)
     for i, a in enumerate(nodes):
@@ -53,13 +52,19 @@ def poset_from_family(family) -> PosetModel:
             leq[i, j] = is_subset(a, b)
     bottoms = [i for i in range(k) if leq[i].all()]
     tops = [j for j in range(k) if leq[:, j].all()]
-    if len(bottoms) != 1 or len(tops) != 1:
-        raise ValueError("family has no unique bottom/top under inclusion")
-    return PosetModel(nodes, leq, bottoms[0], tops[0])
+    bottom = bottoms[0] if len(bottoms) == 1 else None
+    top = tops[0] if len(tops) == 1 else None
+    return PosetModel(nodes, leq, bottom, top)
 
 
 def lattice_from_poset(p: PosetModel) -> LatticeModel:
-    """Meet/join tables, or NotALatticeError with the offending pair."""
+    """Meet/join tables, or NotALatticeError with the offending pair.
+
+    A poset without a unique bottom or top fails at a pair with no common
+    lower or upper bound; an empty one fails with no pair.
+    """
+    if not p.nodes:
+        raise NotALatticeError("family is empty", None, "join")
     k = len(p.nodes)
     meet = np.zeros((k, k), dtype=np.int64)
     join = np.zeros((k, k), dtype=np.int64)
@@ -275,7 +280,7 @@ def chain_stats(p: PosetModel) -> tuple[int, bool]:
             if b == i:
                 height[i] = max(height[i], height[a] + 1)
     total = all(p.leq[i, j] or p.leq[j, i] for i in range(k) for j in range(k))
-    return max(height), total
+    return max(height, default=0), total
 
 
 def node_label(p: PosetModel, i: int, ring=None, max_members: int = 8) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import bits, contains, elements_of, mask_of
+from .bits import bits, close, elements_of, grow_family, mask_of
 from .config import DEFAULT_LIMITS, EngineLimits
 from .errors import CapacityError, ValidationError
 
@@ -218,43 +218,20 @@ def build_semigroup(spec, limits: EngineLimits = DEFAULT_LIMITS) -> CayleyStruct
 
 def close_under_op(s: CayleyStructure, mask: int) -> int:
     """Smallest subset containing mask and closed under the operation."""
-    table = s.table
-    members = elements_of(mask)
-    frontier = list(members)
-    while frontier:
-        nxt = []
-        rows = table[np.ix_(frontier, members)].ravel()
-        cols = table[np.ix_(members, frontier)].ravel()
-        for x in set(map(int, rows)) | set(map(int, cols)):
-            if not contains(mask, x):
-                mask |= 1 << x
-                nxt.append(x)
-        members = elements_of(mask)
-        frontier = nxt
-    return mask
+    t = s.table
+    return close(mask, lambda new, members: np.concatenate(
+        (t[np.ix_(new, members)].ravel(), t[np.ix_(members, new)].ravel())
+    ))
 
 
 def enumerate_subsemigroups(s: CayleyStructure, limits: EngineLimits = DEFAULT_LIMITS) -> list[int]:
-    """All nonempty op-closed subsets, by closure-growing over generator sets."""
-    found: set[int] = set()
-    queue: list[int] = []
-    for x in range(s.size):
-        m = close_under_op(s, 1 << x)
-        if m not in found:
-            found.add(m)
-            queue.append(m)
-    while queue:
-        base = queue.pop()
-        for x in range(s.size):
-            if contains(base, x):
-                continue
-            m = close_under_op(s, base | 1 << x)
-            if m not in found:
-                if len(found) >= limits.family_cap:
-                    raise CapacityError("subsemigroup family cap exceeded", partial_count=len(found))
-                found.add(m)
-                queue.append(m)
-    return sorted(found)
+    """All nonempty op-closed subsets: every join of singleton closures.
+
+    On a finite group these are exactly the subgroups.
+    """
+    atoms = [(close_under_op(s, 1 << x), x) for x in range(s.size)]
+    family = grow_family(atoms, lambda a, b: close_under_op(s, a | b), limits.family_cap, "subsemigroup")
+    return sorted(family)
 
 
 def is_subgroup(s: CayleyStructure, mask: int) -> int | None:
@@ -300,30 +277,6 @@ def maximal_subgroups(s: CayleyStructure) -> list[GroupWitness]:
     return sorted(out, key=lambda w: (w.members.bit_count(), w.members))
 
 
-def subgroups_of_group(s: CayleyStructure, limits: EngineLimits = DEFAULT_LIMITS) -> list[int]:
-    """All subgroups of a finite group (op-closed subsets are subgroups here)."""
-    assert s.identity is not None
-    found: set[int] = {close_under_op(s, 1 << s.identity)}
-    queue = list(found)
-    for x in range(s.size):
-        m = close_under_op(s, 1 << x | 1 << s.identity)
-        if m not in found:
-            found.add(m)
-            queue.append(m)
-    while queue:
-        base = queue.pop()
-        for x in range(s.size):
-            if contains(base, x):
-                continue
-            m = close_under_op(s, base | 1 << x)
-            if m not in found:
-                if len(found) >= limits.family_cap:
-                    raise CapacityError("subgroup family cap exceeded", partial_count=len(found))
-                found.add(m)
-                queue.append(m)
-    return sorted(found)
-
-
 def group_subsets(s: CayleyStructure, limits: EngineLimits = DEFAULT_LIMITS) -> list[GroupWitness]:
     """Every subset that is a group under the induced operation.
 
@@ -336,7 +289,7 @@ def group_subsets(s: CayleyStructure, limits: EngineLimits = DEFAULT_LIMITS) -> 
         sub_table = s.table[np.ix_(members, members)]
         relabel = np.searchsorted(members, sub_table)
         local = CayleyStructure("group", len(members), relabel, members.index(w.identity), "local")
-        for sub in subgroups_of_group(local, limits):
+        for sub in enumerate_subsemigroups(local, limits):
             mask = mask_of(members[i] for i in bits(sub))
             ident = is_subgroup(s, mask)
             if ident is not None:
@@ -349,7 +302,7 @@ def subgroups_and_subsemigroups(
 ) -> tuple[list[int], list[int]]:
     """Complete families, canonically ordered by bitset value."""
     if s.kind == "group":
-        subs = subgroups_of_group(s, limits)
+        subs = enumerate_subsemigroups(s, limits)
         return subs, subs
     groups = sorted(w.members for w in group_subsets(s, limits))
     return groups, enumerate_subsemigroups(s, limits)

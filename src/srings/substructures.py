@@ -1,19 +1,23 @@
 """Enumeration of subrings, ideals, field/domain subsets and S-substructures.
 
-Families are lists of bitmasks in canonical (ascending mask) order.  The
-enumeration strategy is closure growth over generator sets; elementary
-abelian additive groups switch to subspace enumeration in echelon form.
+Families are lists of bitmasks in canonical (ascending mask) order.
+Additive subgroups are every join of cyclic subgroups, grown by
+``bits.grow_family``; elementary abelian additive groups switch to subspace
+enumeration in echelon form, which is far faster there.  Subrings, ideals
+and field/domain subsets filter the additive subgroups.  A generated ideal
+is read off the cached ideal family rather than closed again.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import contains, elements_of, mask_of
+from .bits import close, contains, elements_of, grow_family, mask_of
 from .config import DEFAULT_LIMITS, EngineLimits
 from .errors import CapacityError
 from .rings import RingHandle
@@ -54,18 +58,7 @@ def _cached(R: RingHandle, key, compute):
 
 
 def close_under_add(R: RingHandle, mask: int) -> int:
-    add = R.add_table
-    members = elements_of(mask)
-    frontier = list(members)
-    while frontier:
-        new = []
-        for x in set(map(int, add[np.ix_(frontier, members)].ravel())):
-            if not contains(mask, x):
-                mask |= 1 << x
-                new.append(x)
-        members = elements_of(mask)
-        frontier = new
-    return mask
+    return close(mask, lambda new, members: R.add_table[np.ix_(new, members)].ravel())
 
 
 def _additive_orders(R: RingHandle) -> np.ndarray:
@@ -91,12 +84,7 @@ def _additive_orders(R: RingHandle) -> np.ndarray:
 def _vector_space_data(R: RingHandle, p: int):
     """Basis and coordinates of (R,+) as an F_p space; None if not elementary."""
     n = R.cardinality
-    basis: list[int] = []
-    span = 1 << R.zero
-    for x in range(n):
-        if not contains(span, x):
-            basis.append(x)
-            span = close_under_add(R, span | 1 << x)
+    basis = _additive_generators(R)
     d = len(basis)
     if p**d != n:
         return None
@@ -143,12 +131,10 @@ def _enumerate_subspaces(p: int, d: int, elem_of_vec, limits: EngineLimits):
                         cv = tuple((c * x) % p for x in v)
                         for s in cur:
                             span.add(tuple((a + b) % p for a, b in zip(s, cv)))
-                mask = mask_of(elem_of_vec[v] for v in span)
-                gens = [elem_of_vec[v] for v in vecs]
-                count += 1
-                if count > limits.family_cap:
+                if count >= limits.family_cap:
                     raise CapacityError("subspace family cap exceeded", partial_count=count)
-                yield mask, gens
+                count += 1
+                yield mask_of(elem_of_vec[v] for v in span), [elem_of_vec[v] for v in vecs]
 
 
 def additive_subgroups(
@@ -166,17 +152,14 @@ def _additive_subgroups(R: RingHandle, limits: EngineLimits):
         raise CapacityError(f"{R.name}: not enumerable")
     orders = _additive_orders(R)
     exponent = math.lcm(*map(int, orders)) if R.cardinality > 1 else 1
-    gens_by_mask: dict[int, list[int]] = {}
     if exponent > 1 and _is_prime(exponent) and set(map(int, orders)) <= {1, exponent}:
         data = _vector_space_data(R, exponent)
         if data is not None:
             _, elem_of_vec = data
             d = round(math.log(R.cardinality, exponent))
-            for mask, gens in _enumerate_subspaces(exponent, d, elem_of_vec, limits):
-                gens_by_mask.setdefault(mask, gens)
+            gens_by_mask = dict(_enumerate_subspaces(exponent, d, elem_of_vec, limits))
             return sorted(gens_by_mask), gens_by_mask
-    # (R,+) is abelian: every subgroup is a join of cyclic subgroups, so it
-    # suffices to close the set of cyclic subgroups under pairwise joins.
+    # (R,+) is abelian: every subgroup is a join (sumset) of cyclic subgroups
     add = R.add_table
     cyclics: dict[int, int] = {}  # mask -> generator
     for x in range(R.cardinality):
@@ -188,35 +171,13 @@ def _additive_subgroups(R: RingHandle, limits: EngineLimits):
             if m == R.zero:
                 break
         cyclics.setdefault(mask, x)
-    members_of: dict[int, list[int]] = {}
-    zero_mask = 1 << R.zero
-    gens_by_mask[zero_mask] = []
-    members_of[zero_mask] = [R.zero]
-    queue = []
-    for mask, g in sorted(cyclics.items()):
-        if mask not in gens_by_mask:
-            gens_by_mask[mask] = [g]
-            members_of[mask] = elements_of(mask)
-            queue.append(mask)
-    cyclic_items = sorted(cyclics.items())
-    while queue:
-        base = queue.pop()
-        base_members = members_of[base]
-        for cmask, g in cyclic_items:
-            if cmask & ~base == 0:
-                continue
-            joined = 0
-            for v in np.unique(add[np.ix_(base_members, members_of[cmask])]):
-                joined |= 1 << int(v)
-            if joined not in gens_by_mask:
-                if len(gens_by_mask) >= limits.family_cap:
-                    raise CapacityError(
-                        "additive subgroup family cap exceeded",
-                        partial_count=len(gens_by_mask),
-                    )
-                gens_by_mask[joined] = gens_by_mask[base] + [g]
-                members_of[joined] = elements_of(joined)
-                queue.append(joined)
+    members = functools.cache(elements_of)
+    gens_by_mask = grow_family(
+        sorted(cyclics.items()),
+        lambda a, b: mask_of(np.unique(add[np.ix_(members(a), members(b))]).tolist()),
+        limits.family_cap,
+        "additive subgroup",
+    )
     return sorted(gens_by_mask), gens_by_mask
 
 
@@ -281,25 +242,17 @@ def ideals(R: RingHandle, side: str = "two_sided", limits: EngineLimits | None =
 
 
 def ideal_generated(R: RingHandle, gens, side: str = "two_sided") -> int:
-    """Least ideal of the given sidedness containing gens, by alternating
-    absorption and additive closure to a fixpoint."""
+    """Least ideal of the given sidedness containing gens.
+
+    It is read off the cached family ``ideals(R, side)``: ideals are closed
+    under intersection, so the smallest member containing gens is the
+    generated ideal.  It therefore needs that family within ``family_cap``
+    and raises CapacityError otherwise.
+    """
     if not R.enumerable:
         raise CapacityError(f"{R.name}: not enumerable")
-    mask = close_under_add(R, mask_of(gens) | 1 << R.zero)
-    mul = R.mul_table
-    while True:
-        members = elements_of(mask)
-        new = mask
-        if side in ("left", "two_sided"):
-            for v in mul[:, members].ravel():
-                new |= 1 << int(v)
-        if side in ("right", "two_sided"):
-            for v in mul[members, :].ravel():
-                new |= 1 << int(v)
-        new = close_under_add(R, new)
-        if new == mask:
-            return mask
-        mask = new
+    want = mask_of(int(g) for g in gens)
+    return min((I for I in ideals(R, side) if want & ~I == 0), key=int.bit_count)
 
 
 def maximal_minimal_prime(R: RingHandle, family: list[int]) -> list[IdealAnnotation]:

@@ -1,6 +1,8 @@
 """CLI contract: documented exit codes with a one-line message, never a
 traceback (2 usage or parse error, 3 capacity)."""
 
+import json
+
 import pytest
 
 from srings.cli import main
@@ -110,3 +112,30 @@ def test_bad_paths_and_ids_exit_2(capsys, argv, message):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == message + "\n"
+
+
+@pytest.mark.parametrize("spec, family, nodes, reason", [
+    ("M2(Z2)", "field-subsets", 8, "nodes 0 and 1 have 0 maximal common lower bounds"),
+    ("GR(Z2, C2)", "s-subrings", 0, "family is empty"),
+])
+def test_family_without_bounds_is_not_a_lattice(capsys, tmp_path, spec, family, nodes, reason):
+    # the CLI reports such a family as it reports any other non-lattice ...
+    assert main(["lattice", spec, "--family", family, "--check", "modular"]) == 0
+    out, err = capsys.readouterr()
+    (report,) = json.loads(out)["lattices"]
+    assert err == "" and report["node_count"] == nodes
+    assert report["is_lattice"] is False and report["not_a_lattice"] == reason
+    assert "identities" not in report
+    # ... and the ledger reads it the same way
+    params = json.dumps({"family": family.replace("-", "_")})
+    ledger = tmp_path / "ledger.txt"
+    ledger.write_text(
+        _record(id="yes", ring=spec, kind="lattice", params=params,
+                expect=json.dumps({"is_lattice": False, "node_count": nodes}))
+        + "\n" + _record(id="no", ring=spec, kind="lattice", params=params,
+                         expect='{"is_lattice": true}', status="REFUTED"),
+        encoding="utf-8",
+    )
+    assert main(["claims", "run", str(ledger)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [(r["id"], r["status"]) for r in results] == [("no", "REFUTED"), ("yes", "CONFIRMED")]

@@ -64,8 +64,16 @@ def test_poset_bottom_top():
 
 
 def test_poset_requires_unique_bounds():
-    with pytest.raises(ValueError):
-        poset_from_family([mask_of([0]), mask_of([1])])
+    # the poset builds; a lattice needs the unique bottom and top it lacks
+    p = poset_from_family([mask_of([0]), mask_of([1])])
+    assert p.bottom is None and p.top is None
+    with pytest.raises(NotALatticeError) as e:
+        lattice_from_poset(p)
+    assert e.value.pair == (0, 1) and e.value.kind == "meet"
+    empty = poset_from_family([])
+    with pytest.raises(NotALatticeError, match="family is empty"):
+        lattice_from_poset(empty)
+    assert chain_stats(empty) == (0, True)
 
 
 def test_singleton_family():

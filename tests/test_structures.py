@@ -4,12 +4,14 @@ Brute-force oracles re-derive the small cases independently of the
 closure-growing enumeration being checked.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from srings.bits import elements_of, mask_of
+from srings.config import DEFAULT_LIMITS
 from srings.errors import CapacityError, ValidationError
 from srings.structures import (
     CayleyStructure,
@@ -18,6 +20,7 @@ from srings.structures import (
     close_under_op,
     cyclic_group,
     dihedral_group,
+    enumerate_subsemigroups,
     group_subsets,
     is_s_semigroup,
     is_subgroup,
@@ -121,9 +124,12 @@ def test_subgroups_of_s3():
     subs, subsemis = subgroups_and_subsemigroups(symmetric_group(3))
     assert len(subs) == 6  # trivial, three of order 2, one of order 3, whole
     assert sorted(m.bit_count() for m in subs) == [1, 2, 2, 2, 3, 6]
-    assert subs == subsemis
-    # independent re-check по brute force
-    assert set(subs) == brute_force_group_subsets(symmetric_group(3))
+    # independent re-check by brute force; op-closed subsets of a group are
+    # its subgroups
+    for s in (symmetric_group(3), dihedral_group(4), cyclic_group(6)):
+        subs, subsemis = subgroups_and_subsemigroups(s)
+        assert subs == subsemis
+        assert set(subs) == brute_force_group_subsets(s)
 
 
 def test_subgroups_of_cyclic_8():
@@ -139,6 +145,16 @@ def test_subsemigroups_of_s2_brute_force():
     for x in range(s.size):
         if s.op(x, x) == x:
             assert (1 << x) in subsemis
+
+
+def test_subsemigroup_family_cap_refusal():
+    s = symmetric_semigroup(2)
+    count = len(enumerate_subsemigroups(s))
+    for cap in (1, count - 1):
+        with pytest.raises(CapacityError, match="subsemigroup family cap exceeded") as e:
+            enumerate_subsemigroups(s, dataclasses.replace(DEFAULT_LIMITS, family_cap=cap))
+        assert e.value.partial_count == cap
+    assert len(enumerate_subsemigroups(s, dataclasses.replace(DEFAULT_LIMITS, family_cap=count))) == count
 
 
 def test_every_family_member_passes_direct_recheck():

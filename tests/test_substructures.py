@@ -1,11 +1,15 @@
 """Substructure enumeration: families, certificates, modes and radicals."""
 
+import dataclasses
 import math
 
 import pytest
 
 from srings.bits import contains, elements_of, mask_of
+from srings.config import DEFAULT_LIMITS
+from srings.errors import CapacityError
 from srings.rings import group_ring, product_ring, zn
+from srings.specparse import ring_from_text
 from srings.structures import symmetric_group
 from srings.substructures import (
     additive_subgroups,
@@ -136,6 +140,46 @@ def test_ideal_generated_is_minimal():
         for J in fam:
             if contains(J, g) and J & ~I == 0:
                 assert J == I
+
+
+def absorb_and_add(R, g, side):
+    """Oracle: grow {0, g} by sums and the side's products to a fixpoint."""
+    add, mul = R.add_table.tolist(), R.mul_table.tolist()
+    ideal = {R.zero, g}
+    while True:
+        grown = ideal | {add[a][b] for a in ideal for b in ideal}
+        if side in ("left", "two_sided"):
+            grown |= {mul[r][a] for r in R.elements() for a in ideal}
+        if side in ("right", "two_sided"):
+            grown |= {mul[a][r] for a in ideal for r in R.elements()}
+        if grown == ideal:
+            return mask_of(ideal)
+        ideal = grown
+
+
+@pytest.mark.parametrize("spec", ["M2(Z2)", "GR(Z2, S3)"])
+def test_ideal_generated_on_noncommutative_rings(spec):
+    R = ring_from_text(spec)
+    for side in ("two_sided", "left", "right"):
+        for g in R.elements():
+            assert ideal_generated(R, [g], side) == absorb_and_add(R, g, side), (side, g)
+    # one-sided ideals differ on these rings, so each side was really exercised
+    assert ideals(R, "left") != ideals(R, "right")
+
+
+@pytest.mark.parametrize("spec, path", [
+    ("Z2 x Z4", "additive subgroup"),  # cyclic subgroups joined by sumsets
+    ("Z2 x Z2 x Z2", "subspace"),  # elementary abelian: echelon forms
+])
+def test_family_cap_refusal_on_each_additive_path(spec, path):
+    count = len(additive_subgroups(ring_from_text(spec)))
+    for cap in (1, count - 1):
+        R = ring_from_text(spec)
+        with pytest.raises(CapacityError, match=f"{path} family cap exceeded") as e:
+            additive_subgroups(R, dataclasses.replace(DEFAULT_LIMITS, family_cap=cap))
+        assert e.value.partial_count == cap
+    R = ring_from_text(spec)
+    assert len(additive_subgroups(R, dataclasses.replace(DEFAULT_LIMITS, family_cap=count))) == count
 
 
 def test_maximal_minimal_prime_z12():
