@@ -6,13 +6,15 @@ value doubles as the canonical ordering and the report fingerprint.
 
 Closure growth is written once here: ``close`` is the fixpoint that closes
 one mask under an operation, and ``grow_family`` builds every join of a set
-of atoms.  Additive subgroups, subsemigroups and subgroups all go through
-these two.
+of atoms.  Additive subgroups, subsemigroups, subgroups and generating
+sets all go through these two.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .errors import CapacityError
 
@@ -35,10 +37,6 @@ def elements_of(mask: int) -> list[int]:
     return list(bits(mask))
 
 
-def size(mask: int) -> int:
-    return mask.bit_count()
-
-
 def contains(mask: int, e: int) -> bool:
     return bool(mask >> e & 1)
 
@@ -52,21 +50,23 @@ def fingerprint(mask: int) -> str:
     return format(mask, "x")
 
 
-def close(mask: int, products: Callable[[list[int], list[int]], Iterable[int]]) -> int:
+def close(mask: int, products: Callable[[list[int], list[int]], np.ndarray]) -> int:
     """Smallest superset of mask closed under an operation.
 
-    ``products(new, members)`` yields every product that involves one of
-    the ``new`` members and any member; ``new`` is a subset of ``members``.
-    Each round feeds back only what the previous round added.
+    ``products(new, members)`` is an array of every product that involves
+    one of the ``new`` members and any member; ``new`` is a subset of
+    ``members``.  Each round feeds back only what the previous round added.
     """
     members = elements_of(mask)
     frontier = members
     while frontier:
         new = []
-        for x in set(map(int, products(frontier, members))):
-            if not mask >> x & 1:
-                mask |= 1 << x
-                new.append(x)
+        step = max(1, (1 << 16) // len(members))  # new members per call: a few MB of products
+        for i in range(0, len(frontier), step):
+            for x in set(products(frontier[i : i + step], members).tolist()):
+                if not mask >> x & 1:
+                    mask |= 1 << x
+                    new.append(x)
         members = elements_of(mask)
         frontier = new
     return mask

@@ -19,6 +19,7 @@ import sys
 from . import claims as cl
 from . import report as rp
 from . import specparse
+from .rings import validate_ring
 from .errors import CapacityError, LedgerFormatError, NotALatticeError, SpecSyntaxError
 from .lattices import (
     IDENTITIES,
@@ -38,6 +39,14 @@ def _ids(text: str, known, what: str) -> list[str]:
         if name not in known:
             raise ValueError(f"unknown {what} {name!r}")
     return ids
+
+
+def _enumerable_ring(text: str, refusal: str):
+    """The ring a spec names, refused above the enumeration cap before any table or audit."""
+    R = specparse.ring_from_text(text, validate=False)
+    if not R.enumerable:
+        raise CapacityError(f"{R.name}: {refusal}")
+    return validate_ring(R)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,12 +112,12 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "classify":
-        R = specparse.ring_from_text(args.spec)
+        R = _enumerable_ring(args.spec, "census needs an enumerable ring")
         print(rp.dumps(rp.classify_report(args.spec, R)), end="")
         return 0
 
     if args.command == "substructures":
-        R = specparse.ring_from_text(args.spec)
+        R = _enumerable_ring(args.spec, "not enumerable")
         members = FAMILIES[args.kind.replace("-", "_")](R, args.level, args.mode, not args.no_trivial)
         doc = {
             "schema": rp.SCHEMA,
@@ -120,7 +129,7 @@ def _dispatch(args) -> int:
 
     if args.command == "lattice":
         checks = _ids(args.check, IDENTITIES, "identity")
-        R = specparse.ring_from_text(args.spec)
+        R = _enumerable_ring(args.spec, "not enumerable")
         members = FAMILIES[args.family.replace("-", "_")](R, args.level, args.mode, True)
         poset = poset_from_family(getattr(m, "mask", m) for m in members)
         lattice = None

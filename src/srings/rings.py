@@ -12,9 +12,10 @@ operations (their op tables, or their own kernels when they have none) and
 joins the digits again.  Everything else is that kernel evaluated on other
 arrays: a dense op table is the kernel over the full grid, filled in row
 blocks; a scalar ``add``/``mul``/``neg`` on a ring without tables is the
-kernel on length-1 arrays; the sampled axiom audit is one batched call.
-Codes are int64 below 2^63 and Python ints (dtype object) from there on,
-so no cardinality overflows.
+kernel on length-1 arrays; the axiom audit of a ring above the enumeration
+cap is one batched call on random triples.  Every other ring gets an exact
+audit, over additive generators.  Codes are int64 below 2^63 and Python
+ints (dtype object) from there on, so no cardinality overflows.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ import numpy as np
 from .bits import contains, elements_of
 from .config import DEFAULT_LIMITS, EngineLimits
 from .errors import CapacityError, ValidationError
-from .structures import CayleyStructure
+from .structures import CayleyStructure, associative_over, associativity_witness, generators
 
-# grid cells per row block when a dense table is filled from a kernel; bounds
-# the kernel's intermediates to a few hundred kB whatever the cardinality
+# grid cells per row block when a dense table is filled from a kernel or
+# scanned by the audit; bounds the intermediates whatever the cardinality
 _TABLE_BLOCK = 1 << 14
 # sampled triples checked per batched call of the audit
 _AUDIT_BLOCK = 4096
@@ -179,9 +180,6 @@ class RingHandle:
     def label(self, code: int) -> str:
         return self._labeler(code) if self._labeler else str(code)
 
-    def __repr__(self) -> str:
-        return f"RingHandle({self.name}, |R|={self.cardinality})"
-
 
 # -- mixed-radix codec --------------------------------------------------------
 
@@ -293,7 +291,7 @@ class AxiomViolation:
 @dataclass
 class AuditReport:
     ring: str
-    method: str  # "exhaustive" | "sampled"
+    method: str  # "exhaustive" (an exact verdict over all n^3 triples) | "sampled"
     triples_checked: int
     violations: list[AxiomViolation] = field(default_factory=list)
 
@@ -302,15 +300,33 @@ class AuditReport:
         return not self.violations
 
 
+def _laws_hold_over(add: np.ndarray, mul: np.ndarray, gens: list[int]) -> bool:
+    """The four 3-variable laws, with one or two arguments over generators of
+    a commutative (R,+) with zero and inverses.  Each check is exact once those
+    before it hold: the arguments that satisfy its law are closed under +."""
+    n = add.shape[0]
+    if not associative_over(add, gens):  # Light's test
+        return False
+    step = max(1, _TABLE_BLOCK // n)
+    for b in gens:  # (a+b)c = ac + bc
+        for r0 in range(0, n, step):
+            a = slice(r0, r0 + step)
+            if not np.array_equal(mul[add[a, b]], add[mul[a], mul[b]]):
+                return False
+    g = np.array(gens)
+    a, b, c = g[:, None, None], g[None, :, None], np.arange(n)
+    if not np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]]):  # a(b+c) = ab + ac
+        return False
+    return np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]])  # (ab)c = a(bc)
+
+
 def _audit_tables(R: RingHandle) -> list[AxiomViolation]:
+    """Every axiom an enumerable ring breaks, each at its least witness; the
+    n^3 scans run only when some check fails."""
     n = R.cardinality
     add, mul = R.add_table, R.mul_table
     out: list[AxiomViolation] = []
     idx = np.arange(n)
-
-    def first_bad(diff: np.ndarray, a: int) -> tuple[int, int, int]:
-        b, c = np.argwhere(diff)[0]
-        return a, int(b), int(c)
 
     if not np.array_equal(add, add.T):
         b, c = np.argwhere(add != add.T)[0]
@@ -319,33 +335,23 @@ def _audit_tables(R: RingHandle) -> list[AxiomViolation]:
         out.append(AxiomViolation("zero-element", (int(np.argmax(add[R.zero] != idx)),)))
     if not (add == R.zero).any(axis=1).all():
         out.append(AxiomViolation("additive-inverse", (int(np.argmin((add == R.zero).any(axis=1))),)))
-    for a in range(n):
-        d = add[add[a], :] != add[a][add]
-        if d.any():
-            out.append(AxiomViolation("additive-associativity", first_bad(d, a)))
-            break
-    for a in range(n):
-        d = mul[mul[a], :] != mul[a][mul]
-        if d.any():
-            out.append(AxiomViolation("multiplicative-associativity", first_bad(d, a)))
-            break
-    for a in range(n):
-        row = mul[a]
-        d = row[add] != add[np.ix_(row, row)]
-        if d.any():
-            out.append(AxiomViolation("left-distributivity", first_bad(d, a)))
-            break
-    for c in range(n):
-        col = mul[:, c]
-        d = col[add] != add[np.ix_(col, col)]
-        if d.any():
-            a, b = np.argwhere(d)[0]
-            out.append(AxiomViolation("right-distributivity", (int(a), int(b), c)))
-            break
-    if R.one is not None:
-        if not (np.array_equal(mul[R.one], idx) and np.array_equal(mul[:, R.one], idx)):
-            out.append(AxiomViolation("unit-element", (R.one,)))
-    return out
+    unit_ok = R.one is None or (np.array_equal(mul[R.one], idx) and np.array_equal(mul[:, R.one], idx))
+    if not out and unit_ok and _laws_hold_over(add, mul, generators(add, 1 << R.zero) or [R.zero]):
+        return []
+    for axiom, table in (("additive-associativity", add), ("multiplicative-associativity", mul)):
+        w = associativity_witness(table)
+        if w is not None:
+            out.append(AxiomViolation(axiom, w))
+    # right distributivity is left distributivity of the transposed product,
+    # scanned by least c, then a, then b
+    for axiom, m in (("left-distributivity", mul), ("right-distributivity", mul.T)):
+        for x in range(n):
+            d = m[x][add] != add[np.ix_(m[x], m[x])]
+            if d.any():
+                y, z = (int(v) for v in np.argwhere(d)[0])
+                out.append(AxiomViolation(axiom, (x, y, z) if m is mul else (y, z, x)))
+                break
+    return out if unit_ok else out + [AxiomViolation("unit-element", (R.one,))]
 
 
 def _audit_sampled(R: RingHandle, samples: int, seed: int = 0) -> list[AxiomViolation]:
@@ -380,23 +386,22 @@ def _audit_sampled(R: RingHandle, samples: int, seed: int = 0) -> list[AxiomViol
 
 
 def ring_axiom_audit(R: RingHandle, samples: int | None = None) -> AuditReport:
-    """Axiom report: exhaustive up to the check cap, sampled triples above it."""
-    lim = R.limits
-    if R.enumerable and R.cardinality <= lim.ring_check_cap:
+    """Axiom report: exact on every enumerable ring (dense tables are built
+    if missing), sampled triples above the enumeration cap."""
+    if R.enumerable:
         return AuditReport(R.name, "exhaustive", R.cardinality**3, _audit_tables(R))
-    count = samples if samples is not None else lim.audit_samples
+    count = samples if samples is not None else R.limits.audit_samples
     return AuditReport(R.name, "sampled", count, _audit_sampled(R, count))
 
 
-def _validate_on_construction(R: RingHandle) -> None:
-    lim = R.limits
-    if R.enumerable and R.cardinality <= lim.ring_check_cap:
-        violations = _audit_tables(R)
-    else:
-        violations = _audit_sampled(R, lim.construction_samples)
+def validate_ring(R: RingHandle) -> RingHandle:
+    """R, once ring_axiom_audit finds no violation (construction_samples
+    triples above the enumeration cap); else ValidationError at the first."""
+    violations = ring_axiom_audit(R, R.limits.construction_samples).violations
     if violations:
         v = violations[0]
         raise ValidationError(f"{R.name}: {v.axiom} fails at {v.witness}")
+    return R
 
 
 # -- constructors ---------------------------------------------------------------
@@ -412,9 +417,7 @@ def zn(n: int, limits: EngineLimits = DEFAULT_LIMITS, validate: bool = True) -> 
         R = RingHandle(n, "zn", f"Z{n}", one=(1 if n > 1 else 0), add_table=add, mul_table=mul, limits=limits, meta={"n": n})
     else:
         R = RingHandle(n, "zn", f"Z{n}", one=1, kernel=_zn_kernel(n), limits=limits, meta={"n": n})
-    if validate:
-        _validate_on_construction(R)
-    return R
+    return validate_ring(R) if validate else R
 
 
 def product_ring(factors: list[RingHandle], limits: EngineLimits = DEFAULT_LIMITS, validate: bool = True) -> RingHandle:
@@ -435,9 +438,7 @@ def product_ring(factors: list[RingHandle], limits: EngineLimits = DEFAULT_LIMIT
     )
     if n <= limits.table_cap:
         R._require_tables()
-    if validate:
-        _validate_on_construction(R)
-    return R
+    return validate_ring(R) if validate else R
 
 
 def matrix_ring(base: RingHandle, k: int, limits: EngineLimits = DEFAULT_LIMITS, validate: bool = True) -> RingHandle:
@@ -461,9 +462,7 @@ def matrix_ring(base: RingHandle, k: int, limits: EngineLimits = DEFAULT_LIMITS,
         kernel=_convolution(base, k * k, terms), labeler=labeler,
         meta={"base": base, "k": k}, limits=limits,
     )
-    if validate:
-        _validate_on_construction(R)
-    return R
+    return validate_ring(R) if validate else R
 
 
 def _structure_ring(
@@ -500,9 +499,7 @@ def _structure_ring(
         kernel=_convolution(base, s, terms), labeler=labeler,
         meta={"base": base, "structure": S}, limits=limits,
     )
-    if validate:
-        _validate_on_construction(R)
-    return R
+    return validate_ring(R) if validate else R
 
 
 def group_ring(base: RingHandle, G: CayleyStructure, limits: EngineLimits = DEFAULT_LIMITS, validate: bool = True) -> RingHandle:
@@ -542,9 +539,7 @@ def quaternion_ring(n: int, limits: EngineLimits = DEFAULT_LIMITS, validate: boo
         kernel=_convolution(zn(n, limits, validate=False), 4, terms),
         labeler=labeler, meta={"n": n}, limits=limits,
     )
-    if validate:
-        _validate_on_construction(R)
-    return R
+    return validate_ring(R) if validate else R
 
 
 def table_ring(
@@ -562,9 +557,7 @@ def table_ring(
                 one = e
                 break
     R = RingHandle(n, "table", name, one=one, add_table=add, mul_table=mul, limits=limits, labeler=labeler)
-    if validate:
-        _validate_on_construction(R)
-    return R
+    return validate_ring(R) if validate else R
 
 
 def subring_as_ring(R: RingHandle, mask: int, name: str | None = None, validate: bool = False) -> RingHandle:
@@ -631,9 +624,7 @@ def quotient_ring(R: RingHandle, ideal_mask: int, validate: bool = True) -> Ring
         meta={"parent": R, "ideal": ideal_mask, "reps": reps},
         labeler=lambda c: f"{R.label(reps[c])}+I",
     )
-    if validate:
-        _validate_on_construction(Q)
-    return Q
+    return validate_ring(Q) if validate else Q
 
 
 # -- characteristic --------------------------------------------------------------

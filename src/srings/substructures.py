@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import close, contains, elements_of, grow_family, mask_of
+from .bits import contains, elements_of, grow_family, mask_of
 from .config import DEFAULT_LIMITS, EngineLimits
 from .errors import CapacityError
 from .rings import RingHandle
+from .structures import generators
 
 
 @dataclass(frozen=True)
@@ -57,10 +58,6 @@ def _cached(R: RingHandle, key, compute):
     return R._cache[key]
 
 
-def close_under_add(R: RingHandle, mask: int) -> int:
-    return close(mask, lambda new, members: R.add_table[np.ix_(new, members)].ravel())
-
-
 def _additive_orders(R: RingHandle) -> np.ndarray:
     n = R.cardinality
     idx = np.arange(n)
@@ -84,7 +81,7 @@ def _additive_orders(R: RingHandle) -> np.ndarray:
 def _vector_space_data(R: RingHandle, p: int):
     """Basis and coordinates of (R,+) as an F_p space; None if not elementary."""
     n = R.cardinality
-    basis = _additive_generators(R)
+    basis = generators(R.add_table, 1 << R.zero)
     d = len(basis)
     if p**d != n:
         return None
@@ -190,16 +187,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _additive_generators(R: RingHandle) -> list[int]:
-    gens: list[int] = []
-    span = 1 << R.zero
-    for x in range(R.cardinality):
-        if not contains(span, x):
-            gens.append(x)
-            span = close_under_add(R, span | 1 << x)
-    return gens
-
-
 # -- subrings and ideals ------------------------------------------------------
 
 
@@ -224,7 +211,7 @@ def ideals(R: RingHandle, side: str = "two_sided", limits: EngineLimits | None =
     def compute():
         family, gens = additive_subgroups(R, limits, with_generators=True)
         mul = R.mul_table
-        ring_gens = _additive_generators(R) or [R.zero]
+        ring_gens = generators(R.add_table, 1 << R.zero) or [R.zero]
         out = []
         for mask in family:
             g = gens[mask] or [R.zero]

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import srings.rings
 from srings.cli import main
 
 
@@ -21,12 +22,38 @@ def test_rejected_sizes_exit_2(capsys, spec, message):
 
 @pytest.mark.parametrize("spec", ["M9(Z9)", "Z99999999999999999999999"])
 def test_rings_above_int64_exit_3(capsys, spec):
-    # construction audits sampled triples of Python-int codes; the census
-    # then refuses the ring as not enumerable
+    # the CLI refuses the ring as not enumerable before any axiom audit
     assert main(["classify", spec]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"capacity: {spec}: census needs an enumerable ring\n"
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["classify", "M9(Z9)"], "census needs an enumerable ring"),
+    (["substructures", "M9(Z9)", "--kind", "ideals"], "not enumerable"),
+    (["lattice", "M9(Z9)", "--family", "ideals"], "not enumerable"),
+])
+def test_refusal_runs_no_axiom_audit(capsys, monkeypatch, argv, refusal):
+    def audit(*args):
+        raise AssertionError("axiom audit ran")
+
+    monkeypatch.setattr(srings.rings, "_audit_sampled", audit)
+    monkeypatch.setattr(srings.rings, "_audit_tables", audit)
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"capacity: M9(Z9): {refusal}\n")
+
+
+def test_sublattice_search_cap(capsys):
+    # 67 nodes: every pentagon and diamond is searched for
+    argv = ["lattice", "M2(Z2)", "--family", "additive-subgroups", "--pentagon", "--diamond"]
+    assert main(argv) == 0
+    (report,) = json.loads(capsys.readouterr().out)["lattices"]
+    assert (report["node_count"], len(report["pentagons"]), len(report["diamonds"])) == (67, 0, 735)
+    # 212 nodes, above the cap
+    argv[1] = "M2(Z3)"
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "capacity: 212 nodes above sublattice search cap 150\n")
 
 
 def test_syntax_error_exit_2(capsys):

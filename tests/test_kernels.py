@@ -1,16 +1,21 @@
 """Property tests of the batch arithmetic kernels over random small ring
 specs: each construction's kernel against a plain-Python per-element
 reference, dense tables against the kernel, the batched sampled audit
-against the scalar loop it replaced, and the spec printer against the
-parser."""
+against the scalar loop it replaced, the exact audit against a plain
+triple loop, and the spec printer against the parser.
 
+Examples are derandomized: every run draws the same ones."""
+
+import itertools
 import random
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from srings.rings import _audit_sampled, table_ring
+from srings.rings import _audit_sampled, ring_axiom_audit, semigroup_ring, table_ring, zn
+from srings.structures import CayleyStructure
 from srings.specparse import (
     GroupAtom,
     GroupRingSpec,
@@ -26,7 +31,9 @@ from srings.specparse import (
     print_spec,
 )
 
-SETTINGS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+SETTINGS = settings(
+    max_examples=40, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
 
 # above the table cap, so these rings run on kernels: enumerable, int64
 # codes with Python-int products, and Python-int codes
@@ -264,6 +271,96 @@ def test_batched_audit_reports_first_failing_triple():
     assert found and found == scalar_audit(bad, 2000, 0)
     assert {axiom for axiom, _ in found} <= {
         "multiplicative-associativity", "left-distributivity", "right-distributivity"}
+
+
+def triple_loop_audit(R):
+    """Every axiom R breaks, each at its least witness, by plain loops over
+    all pairs and triples: the reference for the exact audit."""
+    n, add, mul = R.cardinality, R.add_table.tolist(), R.mul_table.tolist()
+    E = range(n)
+    laws = [
+        ("additive-commutativity", itertools.product(E, E), lambda a, b: add[a][b] != add[b][a]),
+        ("zero-element", ((a,) for a in E), lambda a: add[0][a] != a),
+        ("additive-inverse", ((a,) for a in E), lambda a: 0 not in add[a]),
+        ("additive-associativity", itertools.product(E, E, E),
+         lambda a, b, c: add[add[a][b]][c] != add[a][add[b][c]]),
+        ("multiplicative-associativity", itertools.product(E, E, E),
+         lambda a, b, c: mul[mul[a][b]][c] != mul[a][mul[b][c]]),
+        ("left-distributivity", itertools.product(E, E, E),
+         lambda a, b, c: mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]),
+        # least c first, then a, then b
+        ("right-distributivity", ((a, b, c) for c in E for a in E for b in E),
+         lambda a, b, c: mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]),
+        ("unit-element", [(R.one,)] if R.one is not None else [],
+         lambda e: any(mul[e][x] != x or mul[x][e] != x for x in E)),
+    ]
+    out = []
+    for axiom, witnesses, fails in laws:
+        w = next((w for w in witnesses if fails(*w)), None)
+        if w is not None:
+            out.append((axiom, w))
+    return out
+
+
+def exact_audit(R):
+    rep = ring_axiom_audit(R)
+    assert rep.method == "exhaustive"
+    return rep.passed, [(v.axiom, v.witness) for v in rep.violations]
+
+
+@SETTINGS
+@given(specs.filter(lambda s: 2 <= Ref(s).n <= 27), st.data())
+def test_exact_audit_matches_triple_loop_on_corrupted_tables(spec, data):
+    R = build_ring(spec, validate=False)
+    n = R.cardinality
+    tables = [R.add_table.copy(), R.mul_table.copy()]
+    for _ in range(data.draw(st.integers(1, 3))):
+        which = data.draw(st.integers(0, 1))
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        tables[which][i, j] = data.draw(st.integers(0, n - 1).filter(lambda v: v != tables[which][i, j]))
+    one = R.one if data.draw(st.booleans()) else None  # None: table_ring looks for a 1
+    bad = table_ring(*tables, name="corrupted", one=one, validate=False)
+    expected = triple_loop_audit(bad)
+    assert exact_audit(bad) == (not expected, expected)
+
+
+def _near_ring(n, mirrored):
+    """Z_n with a*b = b when a != 0, else 0: left distributive and
+    associative, not right distributive.  Mirrored (a*b = a when b != 0),
+    the two distributive laws swap."""
+    r = np.arange(n)
+    mul = np.where(r[:, None] != 0, r[None, :], 0)
+    return table_ring(zn(n).add_table, mul.T if mirrored else mul, validate=False)
+
+
+def _broken_addition():
+    """Z5 with 1 + 1 set to 3 and zero multiplication: + stays commutative
+    with zero and inverses, every law on products holds, + is not associative."""
+    add = zn(5).add_table.copy()
+    add[1, 1] = 3
+    return table_ring(add, np.zeros((5, 5), dtype=np.int32), validate=False)
+
+
+def _magma_algebra():
+    """Z2 spanned by a 2-element magma with x*x = y and all other products x:
+    bilinear, so both distributive laws hold, but (xx)y != x(xy)."""
+    magma = CayleyStructure("semigroup", 2, np.array([[1, 0], [0, 0]]), None, "M")
+    return semigroup_ring(zn(2), magma, validate=False)
+
+
+@pytest.mark.parametrize("build, axiom", [
+    (_broken_addition, "additive-associativity"),
+    (lambda: _near_ring(3, mirrored=False), "right-distributivity"),
+    (lambda: _near_ring(3, mirrored=True), "left-distributivity"),
+    (_magma_algebra, "multiplicative-associativity"),
+])
+def test_exact_audit_finds_each_law_broken_alone(build, axiom):
+    # every 2-variable check passes, so only the check over additive
+    # generators for this one law can find the fault
+    R = build()
+    expected = triple_loop_audit(R)
+    assert [a for a, _ in expected] == [axiom]
+    assert exact_audit(R) == (False, expected)
 
 
 @SETTINGS

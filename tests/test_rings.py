@@ -111,6 +111,14 @@ def test_quaternion_generator_relations():
         assert R.mul(e["i"], e["k"]) == R.mul(minus1, e["j"])
 
 
+def test_quaternion_labels():
+    R = quaternion_ring(3)
+    # coefficients of 1, i, j, k are the little-endian base-3 digits; zero
+    # coefficients are left out
+    codes = (0, 1, 3, 2 * 9, 27, 1 + 2 * 3 + 27)
+    assert [R.label(c) for c in codes] == ["0", "1", "1i", "2j", "1k", "1+2i+1k"]
+
+
 def test_quaternion_identity_and_order():
     R = quaternion_ring(5)
     assert R.cardinality == 625
@@ -190,7 +198,7 @@ def test_axiom_audit_passes():
 
 
 def test_axiom_audit_sampled_above_cap():
-    R = quaternion_ring(5)  # 625 > ring_check_cap
+    R = quaternion_ring(9)  # 6,561 elements, above the enumeration cap
     rep = ring_axiom_audit(R, samples=500)
     assert rep.passed and rep.method == "sampled"
 

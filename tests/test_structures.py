@@ -15,12 +15,14 @@ from srings.config import DEFAULT_LIMITS
 from srings.errors import CapacityError, ValidationError
 from srings.structures import (
     CayleyStructure,
+    associative_over,
     build_group,
     build_semigroup,
     close_under_op,
     cyclic_group,
     dihedral_group,
     enumerate_subsemigroups,
+    generators,
     group_subsets,
     is_s_semigroup,
     is_subgroup,
@@ -83,7 +85,7 @@ def test_dihedral_presentation_closure():
 def test_dihedral_matches_presentation_enumeration():
     # oracle: close {a, b} under the relations inside S_n's regular image
     d = dihedral_group(3)
-    full = close_under_op(d, mask_of([1, 3]))  # b and a generate
+    full = close_under_op(d.table, mask_of([1, 3]))  # b and a generate
     assert full == (1 << d.size) - 1
 
 
@@ -113,6 +115,28 @@ def test_explicit_table_validation():
     with pytest.raises(ValidationError):
         # x*(y*y) != (x*y)*y for this table
         semigroup_from_table([[1, 0], [0, 0]])
+
+
+def test_light_test_matches_triple_check_on_every_small_magma():
+    for n in (1, 2, 3):
+        for cells in itertools.product(range(n), repeat=n * n):
+            t = np.array(cells).reshape(n, n)
+            gens = generators(t)
+            assert close_under_op(t, mask_of(gens)) == (1 << n) - 1
+            associative = all(t[t[a, b], c] == t[a, t[b, c]] for a, b, c in itertools.product(range(n), repeat=3))
+            assert associative_over(t, gens) == associative
+
+
+def test_large_table_fault_found_at_least_triple():
+    # Z600 under multiplication with 1*1 set to 7.  No triple (0, b, c) fails
+    # (0 absorbs), nor (1, 0, c), (1, 1, 0) or (1, 1, 1); then (1*1)*2 = 14
+    # but 1*(1*2) = 2.  About 1,500 of the 2.16e8 triples fail, so 2,000
+    # random triples would almost surely miss every one.
+    r = np.arange(600)
+    rows = np.multiply.outer(r, r) % 600
+    rows[1, 1] = 7
+    with pytest.raises(ValidationError, match=r"^table: associativity fails at \(1, 1, 2\)$"):
+        semigroup_from_table(rows)
 
 
 def test_structure_cap():
