@@ -24,10 +24,15 @@ class EngineLimits:
     construction_samples: int = 2000
     # default sample count for ring_axiom_audit above the enumeration cap
     audit_samples: int = 10**5
-    # lattice caps: 4-variable identities and exact pentagon/diamond search;
-    # a `lattice --pentagon --diamond` request took at most 2.2 s below 150
-    # nodes, and 13 s at 212 (M2(Z3): 87,360 diamonds), on an Intel Xeon
-    identity4_cap: int = 256
+    # lattice caps, each set so that a request just under it finishes in
+    # seconds (2 CPUs, Intel Xeon).  Both 4-variable checks scan k^4 node
+    # tuples; where they hold they took 1.9 s and 1.4 s on a 64-node chain,
+    # 9.7 s and 7.1 s at 100 nodes, and 28 s and 24 s on the 128-node
+    # Boolean lattice.  Both pentagon and diamond searches together take
+    # 0.4 s on a 150-node chain and 1.5 s on M2(Z3)'s 212 nodes, so the
+    # report bounds such a request: at 116 nodes (Z7 x Z7 x Z7) its 6,384
+    # diamonds take ~6 s to write, and M2(Z3) would write 87,360.
+    identity4_cap: int = 100
     sublattice_cap: int = 150
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bits import contains, elements_of, mask_of
 from .errors import CapacityError
-from .rings import RingHandle, subring_as_ring
+from .rings import RingHandle, additive_orders, is_prime, subring_as_ring
 from .structures import is_s_semigroup
 from .elements import classify_idempotents, classify_nilpotents, classify_zero_divisors
 from .substructures import (
@@ -148,14 +148,8 @@ def law_holds_on(R: RingHandle, members: list[int], law: str, p: int | None = No
     if law == "p_ring":
         if p is None:
             # existential prime: px = 0 forces p to be the additive exponent
-            p = 1
-            for x in members:
-                order, acc = 1, x
-                while acc != R.zero:
-                    acc = R.add(acc, x)
-                    order += 1
-                p = math.lcm(p, order)
-            if not _is_prime_int(p):
+            p = math.lcm(*additive_orders(R)[members].tolist())
+            if not is_prime(p):
                 return False, None
         for x in members:
             if R.power(x, p) != x or _n_times(R, p, x) != R.zero:
@@ -209,12 +203,6 @@ def _n_times(R: RingHandle, n: int, x: int) -> int:
     for _ in range(n):
         acc = R.add(acc, x)
     return acc
-
-
-def _is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % q for q in range(2, int(n**0.5) + 1))
 
 
 def _uniform_exponent(R: RingHandle, members: list[int]) -> int | None:

@@ -630,20 +630,30 @@ def quotient_ring(R: RingHandle, ideal_mask: int, validate: bool = True) -> Ring
 # -- characteristic --------------------------------------------------------------
 
 
+def additive_orders(R: RingHandle) -> np.ndarray:
+    """Additive order of every element of an enumerable ring: the least
+    m >= 1 with m.x = 0, by repeated addition over the table."""
+    n = R.cardinality
+    idx = np.arange(n)
+    acc = idx.copy()
+    orders = np.zeros(n, dtype=np.int64)
+    add = R.add_table
+    for m in range(1, n + 1):
+        orders[(acc == R.zero) & (orders == 0)] = m
+        if orders.all():
+            return orders
+        acc = add[acc, idx]
+    raise ValidationError(f"{R.name}: additive structure is not a group")
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
 def characteristic(R: RingHandle) -> int:
     """Least m >= 1 with m.x = 0 for every x: the additive exponent."""
     if R.enumerable:
-        n = R.cardinality
-        idx = np.arange(n)
-        acc = idx.copy()
-        m = 1
-        add = R.add_table
-        while not (acc == R.zero).all():
-            acc = add[acc, idx]
-            m += 1
-            if m > n:
-                raise ValidationError(f"{R.name}: additive structure is not a group")
-        return m
+        return math.lcm(*additive_orders(R).tolist())
     # above the cap: derive from the construction
     if R.construction == "zn":
         return R.meta["n"]

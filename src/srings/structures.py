@@ -138,13 +138,19 @@ def cyclic_group(n: int, limits: EngineLimits = DEFAULT_LIMITS) -> CayleyStructu
     return _finish("group", n, table.astype(np.int64), 0, f"C{n}", None, limits)
 
 
-def _perm_table(perms: list[tuple[int, ...]]) -> np.ndarray:
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
+def _perm_table(maps: list[tuple[int, ...]]) -> np.ndarray:
+    """Composition table of self-maps listed in lexicographic order: each
+    composite is ranked by its base-d code, as the maps' codes ascend."""
+    m = np.array(maps, dtype=np.int64)
+    n, d = m.shape
+    weights = d ** np.arange(d - 1, -1, -1)
+    codes = m @ weights
     table = np.empty((n, n), dtype=np.int64)
-    for a, pa in enumerate(perms):
-        for b, pb in enumerate(perms):
-            table[a, b] = index[tuple(pa[pb[i]] for i in range(len(pa)))]
+    rows = max(1, (1 << 18) // (n * d))
+    for start in range(0, n, rows):
+        # composed[a, b, i] = pa[pb[i]] for the block's rows a
+        composed = m[start : start + rows][:, m]
+        table[start : start + rows] = np.searchsorted(codes, composed @ weights)
     return table
 
 
@@ -165,14 +171,8 @@ def dihedral_group(n: int, limits: EngineLimits = DEFAULT_LIMITS) -> CayleyStruc
     if n < 1:
         raise ValueError("dihedral group needs n >= 1")
     size = 2 * n
-    table = np.empty((size, size), dtype=np.int64)
-    for s1 in (0, 1):
-        for r1 in range(n):
-            for s2 in (0, 1):
-                for r2 in range(n):
-                    r = (r1 + (r2 if s1 == 0 else -r2)) % n
-                    s = (s1 + s2) % 2
-                    table[s1 * n + r1, s2 * n + r2] = s * n + r
+    s, r = np.divmod(np.arange(size), n)
+    table = (s[:, None] ^ s) * n + (r[:, None] + (1 - 2 * s)[:, None] * r) % n
     labels = tuple(f"b{r}" if s == 0 else f"b{r}a" for s in (0, 1) for r in range(n))
     return _finish("group", size, table, 0, f"D{n}", labels, limits)
 

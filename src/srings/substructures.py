@@ -20,7 +20,7 @@ import numpy as np
 from .bits import contains, elements_of, grow_family, mask_of
 from .config import DEFAULT_LIMITS, EngineLimits
 from .errors import CapacityError
-from .rings import RingHandle
+from .rings import RingHandle, additive_orders, is_prime
 from .structures import generators
 
 
@@ -56,26 +56,6 @@ def _cached(R: RingHandle, key, compute):
     if key not in R._cache:
         R._cache[key] = compute()
     return R._cache[key]
-
-
-def _additive_orders(R: RingHandle) -> np.ndarray:
-    n = R.cardinality
-    idx = np.arange(n)
-    acc = idx.copy()
-    orders = np.zeros(n, dtype=np.int64)
-    orders[R.zero] = 1
-    k = 1
-    add = R.add_table
-    while (orders == 0).any():
-        hit = (acc == R.zero) & (orders == 0)
-        orders[hit] = k
-        if (orders != 0).all():
-            break
-        acc = add[acc, idx]
-        k += 1
-        if k > n:
-            raise CapacityError(f"{R.name}: additive orders did not terminate")
-    return orders
 
 
 def _vector_space_data(R: RingHandle, p: int):
@@ -147,9 +127,9 @@ def additive_subgroups(
 def _additive_subgroups(R: RingHandle, limits: EngineLimits):
     if not R.enumerable:
         raise CapacityError(f"{R.name}: not enumerable")
-    orders = _additive_orders(R)
-    exponent = math.lcm(*map(int, orders)) if R.cardinality > 1 else 1
-    if exponent > 1 and _is_prime(exponent) and set(map(int, orders)) <= {1, exponent}:
+    orders = additive_orders(R)
+    exponent = math.lcm(*orders.tolist())
+    if is_prime(exponent) and set(orders.tolist()) <= {1, exponent}:
         data = _vector_space_data(R, exponent)
         if data is not None:
             _, elem_of_vec = data
@@ -176,15 +156,6 @@ def _additive_subgroups(R: RingHandle, limits: EngineLimits):
         "additive subgroup",
     )
     return sorted(gens_by_mask), gens_by_mask
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, int(n**0.5) + 1):
-        if n % q == 0:
-            return False
-    return True
 
 
 # -- subrings and ideals ------------------------------------------------------
@@ -506,12 +477,12 @@ def s_maximal_minimal(R: RingHandle, family: list[SubstructureVerdict]) -> list[
 
 def s_characteristic(R: RingHandle, limits: EngineLimits | None = None) -> set[int]:
     """Characteristics (additive exponents) of every field/domain certificate."""
-    orders = _additive_orders(R)
+    orders = additive_orders(R)
     out = set()
     certs = {f.mask for f in field_subsets(R, limits)}
     certs |= {m for m in domain_subsets(R, limits) if m.bit_count() >= 2}
     for mask in certs:
-        out.add(math.lcm(*(int(orders[x]) for x in elements_of(mask))))
+        out.add(math.lcm(*orders[elements_of(mask)].tolist()))
     return out
 
 

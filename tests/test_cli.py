@@ -56,6 +56,20 @@ def test_sublattice_search_cap(capsys):
     assert capsys.readouterr() == ("", "capacity: 212 nodes above sublattice search cap 150\n")
 
 
+def test_four_variable_identity_cap(capsys):
+    # 67 nodes: all four identities are checked
+    argv = ["lattice", "M2(Z2)", "--family", "additive-subgroups",
+            "--check", "modular,distributive,quasi_distributive,supermodular"]
+    assert main(argv) == 0
+    (report,) = json.loads(capsys.readouterr().out)["lattices"]
+    assert {name: v["holds"] for name, v in report["identities"].items()} == {
+        "modular": True, "distributive": False, "quasi_distributive": False, "supermodular": False}
+    # 212 nodes, above the cap
+    argv = ["lattice", "M2(Z3)", "--family", "additive-subgroups", "--check", "supermodular"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "capacity: 212 nodes above 4-variable identity cap 100\n")
+
+
 def test_syntax_error_exit_2(capsys):
     assert main(["classify", "Z"]) == 2
     err = capsys.readouterr().err

@@ -8,13 +8,13 @@ from functools import reduce
 import pytest
 
 from srings.bits import mask_of
-from srings.errors import NotALatticeError
+from srings.config import DEFAULT_LIMITS
+from srings.errors import CapacityError, NotALatticeError
 from srings.lattices import (
     chain_stats,
     check_identity,
     covering_relation,
     export_hasse,
-    find_forbidden_sublattice,
     forbidden_sublattices,
     lattice_from_poset,
     poset_from_family,
@@ -81,37 +81,34 @@ def test_singleton_family():
     assert len(p.nodes) == 1 and p.bottom == p.top == 0
 
 
+def bowtie_family():
+    # {0} and {1} have two minimal common upper bounds, {0,1,2} and {0,1,3}
+    return [mask_of(s) for s in ([], [0], [1], [0, 1, 2], [0, 1, 3], [0, 1, 2, 3])]
+
+
 def test_not_a_lattice_witness():
-    # two incomparable subsets with two maximal common lower bounds
-    fam = [
-        mask_of([]),
-        mask_of([0]),
-        mask_of([1]),
-        mask_of([0, 1, 2]),
-        mask_of([0, 1, 3]),
-        mask_of([0, 1, 2, 3]),
-    ]
-    p = poset_from_family(fam)
+    p = poset_from_family(bowtie_family())
     with pytest.raises(NotALatticeError) as err:
         lattice_from_poset(p)
-    assert err.value.kind in ("meet", "join")
-    assert len(err.value.pair) == 2
+    # the join of nodes 1 and 2 fails before the meet of nodes 3 and 4
+    assert (err.value.pair, err.value.kind) == ((1, 2), "join")
+    assert str(err.value) == "nodes 1 and 2 have 2 minimal common upper bounds"
 
 
 def test_pentagon_fixture():
     L = lattice_from_poset(poset_from_family(n5_family()))
     assert not check_identity(L, "modular").holds
     assert check_identity(L, "modular").counterexample is not None
-    assert find_forbidden_sublattice(L, "pentagon") == (0, 1, 2, 3, 4)
-    assert find_forbidden_sublattice(L, "diamond") is None
+    assert forbidden_sublattices(L, "pentagon") == [(0, 1, 2, 3, 4)]
+    assert forbidden_sublattices(L, "diamond") == []
 
 
 def test_diamond_fixture():
     L = lattice_from_poset(poset_from_family(m3_family()))
     assert check_identity(L, "modular").holds
     assert not check_identity(L, "distributive").holds
-    assert find_forbidden_sublattice(L, "diamond") == (0, 1, 2, 3, 4)
-    assert find_forbidden_sublattice(L, "pentagon") is None
+    assert forbidden_sublattices(L, "diamond") == [(0, 1, 2, 3, 4)]
+    assert forbidden_sublattices(L, "pentagon") == []
 
 
 def test_chains_are_distributive_and_n5_free():
@@ -119,8 +116,8 @@ def test_chains_are_distributive_and_n5_free():
         L = lattice_from_poset(poset_from_family(chain_family(k)))
         assert check_identity(L, "distributive").holds
         assert check_identity(L, "modular").holds
-        assert find_forbidden_sublattice(L, "pentagon") is None
-        assert find_forbidden_sublattice(L, "diamond") is None
+        assert forbidden_sublattices(L, "pentagon") == []
+        assert forbidden_sublattices(L, "diamond") == []
 
 
 def test_meet_join_absorption_idempotency():
@@ -152,9 +149,9 @@ def test_distributive_implies_modular_and_n5_agreement():
         modular = check_identity(L, "modular").holds
         if check_identity(L, "distributive").holds:
             assert modular
-            assert find_forbidden_sublattice(L, "diamond") is None
+            assert forbidden_sublattices(L, "diamond") == []
         # no-N5 <=> modular, asserted pairwise on every analyzed lattice
-        assert (find_forbidden_sublattice(L, "pentagon") is None) == modular
+        assert (forbidden_sublattices(L, "pentagon") == []) == modular
 
 
 def test_full_ideal_lattices_are_modular():
@@ -193,6 +190,12 @@ def test_supermodular_and_quasi_distributive_on_chains():
     L = lattice_from_poset(poset_from_family(chain_family(4)))
     assert check_identity(L, "quasi_distributive").holds
     assert check_identity(L, "supermodular").holds
+    # one node above the cap is refused before any tuple is scanned
+    cap = DEFAULT_LIMITS.identity4_cap
+    L = lattice_from_poset(poset_from_family(chain_family(cap + 1)))
+    for identity in ("quasi_distributive", "supermodular"):
+        with pytest.raises(CapacityError, match=f"{cap + 1} nodes above 4-variable identity cap {cap}"):
+            check_identity(L, identity)
 
 
 def test_supermodular_fails_on_diamond():
@@ -337,3 +340,129 @@ def test_export_hasse_cover_edges_match_covering_relation():
     dot = export_hasse(p, R)
     assert dot.count("->") == len(covering_relation(p))
     assert dot.count("label=") == 19
+
+
+# Plain-Python oracles over the masks themselves, each written from the
+# definition, run on every family of subsets of 3 points, on N5, M3, M4 and
+# on the bow-tie, the one family here whose first failing pair has two
+# minimal bounds.
+
+
+def every_family(n):
+    for picks in range(1 << (1 << n)):
+        yield [m for m in range(1 << n) if picks >> m & 1]
+
+
+def oracle_families():
+    return [*every_family(3), n5_family(), m3_family(), m4_family(), bowtie_family()]
+
+
+def _oracle_order(fam):
+    nodes = sorted(set(fam))
+    return nodes, [[a & ~b == 0 for b in nodes] for a in nodes]
+
+
+def _oracle_lattice(leq):
+    """Per-pair meet and join tables, or the first pair (row-major, meet
+    before join) without a unique maximal lower or minimal upper bound."""
+    k = len(leq)
+    meet = [[0] * k for _ in range(k)]
+    join = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            lower = [x for x in range(k) if leq[x][i] and leq[x][j]]
+            maximal = [x for x in lower if not any(y != x and leq[x][y] for y in lower)]
+            if len(maximal) != 1:
+                return None, ((i, j), "meet", f"{len(maximal)} maximal common lower")
+            upper = [x for x in range(k) if leq[i][x] and leq[j][x]]
+            minimal = [x for x in upper if not any(y != x and leq[y][x] for y in upper)]
+            if len(minimal) != 1:
+                return None, ((i, j), "join", f"{len(minimal)} minimal common upper")
+            meet[i][j], join[i][j] = maximal[0], minimal[0]
+    return (meet, join), None
+
+
+def test_lattice_from_poset_matches_per_pair_definition():
+    lattices = 0
+    for fam in oracle_families():
+        if not fam:
+            continue
+        nodes, leq = _oracle_order(fam)
+        p = poset_from_family(fam)
+        assert p.nodes == tuple(nodes) and p.leq.tolist() == leq
+        tables, failure = _oracle_lattice(leq)
+        if failure is None:
+            L = lattice_from_poset(p)
+            assert (L.meet.tolist(), L.join.tolist()) == tables, fam
+            lattices += 1
+            continue
+        (i, j), kind, bounds = failure
+        with pytest.raises(NotALatticeError) as e:
+            lattice_from_poset(p)
+        assert (e.value.pair, e.value.kind) == ((i, j), kind), fam
+        assert str(e.value) == f"nodes {i} and {j} have {bounds} bounds", fam
+    assert lattices == 3 + 108  # N5, M3, M4 and the lattices on 3 points
+
+
+def _oracle_sublattices(meet, join, leq, shape):
+    k = len(leq)
+    found = set()
+    for x, y, z in itertools.product(range(k), repeat=3):
+        if shape == "pentagon":
+            # chain x < z, side y incomparable to both, shared meet and join
+            ok = x != z and leq[x][z] and not (leq[y][x] or leq[x][y] or leq[y][z] or leq[z][y])
+            ok = ok and meet[x][y] == meet[z][y] and join[x][y] == join[z][y]
+            o, i = meet[x][y], join[x][y]
+        else:
+            # pairwise incomparable atoms x < y < z, shared meet and join
+            ok = x < y < z and not any(leq[a][b] for a, b in itertools.permutations((x, y, z), 2))
+            ok = ok and meet[x][y] == meet[x][z] == meet[y][z] and join[x][y] == join[x][z] == join[y][z]
+            o, i = meet[x][y], join[x][y]
+        if ok and len({o, x, y, z, i}) == 5:
+            found.add(tuple(sorted((o, x, y, z, i))))
+    return sorted(found)
+
+
+def test_forbidden_sublattices_match_triple_loop():
+    seen = {"pentagon": 0, "diamond": 0}
+    for fam in oracle_families():
+        _, leq = _oracle_order(fam)
+        tables, failure = _oracle_lattice(leq)
+        if not fam or failure is not None:
+            continue
+        L = lattice_from_poset(poset_from_family(fam))
+        for shape in seen:
+            want = _oracle_sublattices(*tables, leq, shape)
+            assert forbidden_sublattices(L, shape) == want, (fam, shape)
+            seen[shape] += bool(want)
+    assert seen["pentagon"] and seen["diamond"]
+
+
+def test_chain_stats_match_brute_force():
+    for fam in oracle_families():
+        nodes, leq = _oracle_order(fam)
+        k = len(nodes)
+        longest = max(
+            (
+                len(c)
+                for r in range(k + 1)
+                for c in itertools.combinations(range(k), r)
+                if all(leq[a][b] or leq[b][a] for a, b in itertools.combinations(c, 2))
+            ),
+            default=0,
+        )
+        total = all(leq[a][b] or leq[b][a] for a in range(k) for b in range(k))
+        assert chain_stats(poset_from_family(fam)) == (longest, total), fam
+
+
+def test_covering_relation_matches_definition():
+    for fam in oracle_families():
+        _, leq = _oracle_order(fam)
+        k = len(leq)
+        covers = [
+            (i, j)
+            for i in range(k)
+            for j in range(k)
+            if i != j and leq[i][j] and not any(x not in (i, j) and leq[i][x] and leq[x][j] for x in range(k))
+        ]
+        assert covering_relation(poset_from_family(fam)) == covers, fam

@@ -96,6 +96,19 @@ def test_composition_convention():
     p2 = s3.labels.index("321")
     assert s3.label(s3.op(p1, p2)) == "231"
     assert s3.label(s3.op(p2, p1)) == "312"
+    # whole tables, cell by cell from the labelled maps
+    for s in (symmetric_group(3), symmetric_group(4), symmetric_group(5),
+              symmetric_semigroup(3), symmetric_semigroup(4)):
+        maps = [tuple(int(c) - 1 for c in lab) for lab in s.labels]
+        index = {f: i for i, f in enumerate(maps)}
+        assert s.table.tolist() == [[index[tuple(p[i] for i in q)] for q in maps] for p in maps]
+    # b^r1 a^s1 . b^r2 a^s2 = b^(r1 + (-1)^s1 r2) a^(s1 + s2)
+    for n in range(1, 65):
+        d = dihedral_group(n)
+        pairs = [(s, r) for s in (0, 1) for r in range(n)]
+        assert d.table.tolist() == [
+            [(s1 ^ s2) * n + (r1 + (-1) ** s1 * r2) % n for s2, r2 in pairs] for s1, r1 in pairs
+        ]
 
 
 def test_symmetric_semigroup_sizes():
