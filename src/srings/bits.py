@@ -50,20 +50,22 @@ def fingerprint(mask: int) -> str:
     return format(mask, "x")
 
 
-def close(mask: int, products: Callable[[list[int], list[int]], np.ndarray]) -> int:
+def close(mask: int, products: Callable[[list[int], list[int]], np.ndarray], closed: int = 0) -> int:
     """Smallest superset of mask closed under an operation.
 
     ``products(new, members)`` is an array of every product that involves
     one of the ``new`` members and any member; ``new`` is a subset of
-    ``members``.  Each round feeds back only what the previous round added.
+    ``members``.  ``closed`` is a part of mask already closed under the
+    operation, whose products among themselves the first round skips.  Each
+    later round feeds back only what the previous round added.
     """
     members = elements_of(mask)
-    frontier = members
+    frontier = elements_of(mask & ~closed)
     while frontier:
         new = []
         step = max(1, (1 << 16) // len(members))  # new members per call: a few MB of products
         for i in range(0, len(frontier), step):
-            for x in set(products(frontier[i : i + step], members).tolist()):
+            for x in np.flatnonzero(np.bincount(products(frontier[i : i + step], members))).tolist():
                 if not mask >> x & 1:
                     mask |= 1 << x
                     new.append(x)

@@ -139,7 +139,7 @@ def _dispatch(args) -> int:
         except NotALatticeError as e:
             reason = str(e)
         identities = {}
-        pentagons = None
+        pentagons = diamonds = None
         if lattice is not None:
             for name in checks:
                 identities[name] = check_identity(lattice, name)
@@ -151,13 +151,9 @@ def _dispatch(args) -> int:
             "schema": rp.SCHEMA,
             "ring": rp.ring_header(args.spec, R),
             "lattices": [
-                rp.lattice_report(args.family, poset, lattice, identities, pentagons, R, reason)
+                rp.lattice_report(args.family, poset, lattice, identities, pentagons, R, reason, diamonds)
             ],
         }
-        if args.diamond and lattice is not None:
-            doc["lattices"][0]["diamonds"] = [
-                [rp.subset_record(poset.nodes[i], R) for i in tup] for tup in diamonds
-            ]
         if args.dot:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(export_hasse(poset, R))

@@ -1,9 +1,13 @@
 """Special-element censuses with per-element witness records.
 
-Every verdict carries the concrete elements certifying it, and every
-witness re-verifies under direct evaluation of the defining equations
-(see verify_witness).  Searches scan element codes in ascending order, so
-the recorded witness is canonical.
+Each census evaluates its defining equations on whole arrays read off
+``R.mul_table``, ``R.add_table`` and ``R.neg_vec``, in row blocks of about
+``_TABLE_BLOCK`` cells where candidates span a table; power sequences come
+from one cached helper, :func:`power_sequences`.  Every verdict carries the
+elements certifying it, and searches keep the least witness in ascending
+scan order (for an S-zero-divisor pair the least a, then the least b), so
+the recorded witness is canonical.  verify_witness re-evaluates a witness
+with direct scalar arithmetic: the independent check of ledger witnesses.
 """
 
 from __future__ import annotations
@@ -11,12 +15,13 @@ from __future__ import annotations
 import functools
 import inspect
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .bits import contains, elements_of
 from .errors import CapacityError
-from .rings import RingHandle
+from .rings import _TABLE_BLOCK, RingHandle
 from .substructures import _cached, field_subsets, ideal_generated, units_mask
 
 
@@ -48,20 +53,94 @@ def _once_per_ring(classify):
     return cached
 
 
+def _first_hits(rows: int, cols: int, block: Callable[[int, int], np.ndarray]):
+    """For each row of a rows x cols array, the least column where it is
+    nonzero and the value there (-1 and 0 in a row without one).
+
+    ``block(r0, r1)`` gives rows r0..r1-1; it is asked for about
+    ``_TABLE_BLOCK`` cells at a time, so no intermediate grows with rows.
+    """
+    col = np.full(rows, -1, dtype=np.int64)
+    value = np.zeros(rows, dtype=np.int64)
+    step = max(1, _TABLE_BLOCK // max(1, cols))
+    for r0 in range(0, rows if cols else 0, step):
+        hits = block(r0, min(rows, r0 + step))
+        first = hits.argmax(axis=1)
+        found = hits[np.arange(len(hits)), first]
+        col[r0 : r0 + len(hits)] = np.where(found != 0, first, -1)
+        value[r0 : r0 + len(hits)] = found
+    return col, value
+
+
+# -- power sequences ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PowerSequences:
+    """The sequences x, x^2, x^3, ... of every element at once.
+
+    x^k lies on the sequence's cycle from k = preperiod + 1 on; the cycle has
+    ``period`` elements and holds one idempotent, ``idempotent`` (x^omega).
+    """
+
+    mul: np.ndarray
+    preperiod: np.ndarray
+    period: np.ndarray
+    idempotent: np.ndarray
+
+    def power(self, k: int) -> np.ndarray:
+        """x^k for every element x, by square and multiply."""
+        if k < 1:
+            raise ValueError("power needs k >= 1")
+        if k == 1:
+            return np.arange(len(self.mul))
+        half = self.power(k // 2)
+        return self.mul[self.mul[half, half], self.power(1)] if k & 1 else self.mul[half, half]
+
+
+@_once_per_ring
+def power_sequences(R: RingHandle) -> PowerSequences:
+    """Power sequences of every element: ceil(log2 n) squarings, then two
+    vectorised walks of at most n steps over the multiplication table."""
+    mul = R.mul_table
+    n = R.cardinality
+    idx = np.arange(n)
+    # x^(2^K) with 2^K >= n is on the cycle, since preperiod + 1 <= n
+    top = idx
+    for _ in range(max(1, (n - 1).bit_length())):
+        top = mul[top, top]
+    # walk the cycle top.x, top.x^2, ... back to top: its length and idempotent
+    period = np.zeros(n, dtype=np.int64)
+    idempotent = np.zeros(n, dtype=np.int64)
+    rows, z, k = idx, top, 0
+    while rows.size:
+        k += 1
+        z = mul[z, rows]
+        idem = mul[z, z] == z
+        idempotent[rows[idem]] = z[idem]
+        back = z == top[rows]
+        period[rows[back]] = k
+        rows, z = rows[~back], z[~back]
+    # x^k is on the cycle iff x^k e = x^k for the cycle's idempotent e
+    preperiod = np.zeros(n, dtype=np.int64)
+    rows, z, k = idx, idx, 0
+    while rows.size:
+        on = mul[z, idempotent[rows]] == z
+        preperiod[rows[on]] = k
+        rows, z, k = rows[~on], mul[z[~on], rows[~on]], k + 1
+    return PowerSequences(mul, preperiod, period, idempotent)
+
+
 # -- units ---------------------------------------------------------------------
 
 
 def inverses(R: RingHandle) -> dict[int, int]:
     if R.one is None:
         return {}
-    out = {}
     hits = R.mul_table == R.one
     both = hits & hits.T
-    for x in range(R.cardinality):
-        ys = np.where(both[x])[0]
-        if len(ys):
-            out[x] = int(ys[0])
-    return out
+    units = np.flatnonzero(both.any(axis=1))
+    return dict(zip(units.tolist(), both[units].argmax(axis=1).tolist()))
 
 
 @_once_per_ring
@@ -71,37 +150,27 @@ def classify_units(R: RingHandle):
     with x^2 = 1 never qualify."""
     _ensure_enumerable(R)
     inv = inverses(R)
-    units = sorted(inv)
-    s_units = []
-    witnesses: dict[int, WitnessRecord] = {}
     mul = R.mul_table
-    for x in units:
-        if x == R.one:
-            continue
-        y = inv[x]
-        if y == x:  # x^2 = 1 is excluded outright
-            continue
-        excluded = {x, y, R.one}
-        for a in units:
-            if a in excluded:
-                continue
-            b = inv[a]
-            if b in excluded:
-                continue
-            clause = None
-            if int(mul[x, a]) == y:
-                clause = "xa=y"
-            elif int(mul[a, x]) == y:
-                clause = "ax=y"
-            elif int(mul[y, b]) == x:
-                clause = "yb=x"
-            elif int(mul[b, y]) == x:
-                clause = "by=x"
-            if clause:
-                s_units.append(x)
-                witnesses[x] = WitnessRecord("s_unit", (x,), {"y": y, "a": a, "b": b}, clause)
-                break
-    return units, s_units, witnesses
+    U, V = (np.array(list(codes), dtype=np.int64) for codes in (inv, inv.values()))
+    keep = (U != R.one) & (V != U)
+    X, Y = U[keep], V[keep]
+
+    def block(r0, r1):
+        x, y = X[r0:r1, None], Y[r0:r1, None]
+        clause = np.select(
+            [mul[x, U] == y, mul[U, x] == y, mul[y, V] == x, mul[V, y] == x], [1, 2, 3, 4], 0
+        )
+        outside = (U != x) & (U != y) & (U != R.one) & (V != x) & (V != y) & (V != R.one)
+        return np.where(outside, clause, 0)
+
+    col, clause = _first_hits(len(X), len(U), block)
+    witnesses = {
+        x: WitnessRecord("s_unit", (x,), {"y": y, "a": a, "b": inv[a]},
+                         ("xa=y", "ax=y", "yb=x", "by=x")[k - 1])
+        for x, y, a, k in zip(X.tolist(), Y.tolist(), U[col].tolist(), clause.tolist())
+        if k
+    }
+    return list(inv), list(witnesses), witnesses
 
 
 # -- zero divisors ----------------------------------------------------------------
@@ -110,50 +179,53 @@ def classify_units(R: RingHandle):
 @_once_per_ring
 def classify_zero_divisors(R: RingHandle):
     """Zero-divisor elements and S-zero-divisor pairs (ordered; both
-    orientations of a symmetric pair are reported)."""
+    orientations of a symmetric pair are reported).
+
+    A pair (x, y) with xy = 0 qualifies when some a and b outside {0, x, y},
+    a in the annihilator of x and b in that of y, have ab != 0 or ba != 0.
+    All four are zero divisors, so the search runs on zero divisors alone:
+    one matrix product counts such b for every a and y, and each pair takes
+    the least a, then for it the least b.
+    """
     _ensure_enumerable(R)
     mul = R.mul_table
-    n = R.cardinality
-    zd = sorted(
-        x
-        for x in range(n)
-        if x != R.zero
-        and (
-            ((mul[x] == R.zero) & (np.arange(n) != R.zero)).any()
-            or ((mul[:, x] == R.zero) & (np.arange(n) != R.zero)).any()
-        )
-    )
-    annih = {}
-    for x in range(n):
-        annih[x] = sorted(
-            {int(v) for v in np.where(mul[x] == R.zero)[0]}
-            | {int(v) for v in np.where(mul[:, x] == R.zero)[0]}
-        )
-    pairs = []
-    witnesses: dict[tuple[int, int], WitnessRecord] = {}
-    for x in zd:
-        for y in np.where(mul[x] == R.zero)[0]:
-            y = int(y)
-            if y == R.zero or x == R.zero:
-                continue
-            found = None
-            for a in annih[x]:
-                if a in (R.zero, x, y):
-                    continue
-                for b in annih[y]:
-                    if b in (R.zero, x, y):
-                        continue
-                    if int(mul[a, b]) != R.zero or int(mul[b, a]) != R.zero:
-                        found = (a, b)
-                        break
-                if found:
-                    break
-            if found:
-                pairs.append((x, y))
-                witnesses[(x, y)] = WitnessRecord(
-                    "s_zero_divisor", (x, y), {"a": found[0], "b": found[1]}, "ab!=0"
-                )
-    return zd, pairs, witnesses
+    nonzero = np.arange(R.cardinality) != R.zero
+    kills = mul == R.zero
+    zd = np.flatnonzero(nonzero & ((kills & nonzero).any(axis=1) | (kills & nonzero[:, None]).any(axis=0)))
+    # from here on, zero divisors are named by their position in zd
+    kills = kills[np.ix_(zd, zd)]
+    ann = kills | kills.T  # ann[x, a]: xa = 0 or ax = 0
+    live = ~(kills & kills.T)  # live[a, b]: ab != 0 or ba != 0
+    # through[a, y]: how many b in the annihilator of y have ab != 0 or
+    # ba != 0 (float32 counts are exact below 2^24)
+    through = live.astype(np.float32) @ ann.astype(np.float32)
+    xs, ys = np.nonzero(kills)
+
+    def first_a(r0, r1):
+        x, y = xs[r0:r1], ys[r0:r1]
+        # drop b = x (x is in the annihilator of y) and b = y (when y^2 = 0)
+        count = through[:, y].T - live[x] - (kills[y, y] & (y != x))[:, None] * live[y]
+        a = ann[x] & (count > 0)
+        a[np.arange(len(x)), x] = a[np.arange(len(x)), y] = False
+        return a
+
+    a_col, _ = _first_hits(len(xs), len(zd), first_a)
+    found = a_col >= 0
+    xs, ys, a_col = xs[found], ys[found], a_col[found]
+
+    def first_b(r0, r1):
+        x, y = xs[r0:r1], ys[r0:r1]
+        b = live[a_col[r0:r1]] & ann[y]
+        b[np.arange(len(x)), x] = b[np.arange(len(x)), y] = False
+        return b
+
+    b_col, _ = _first_hits(len(xs), len(zd), first_b)
+    pairs = list(zip(zd[xs].tolist(), zd[ys].tolist()))
+    witnesses = {
+        p: WitnessRecord("s_zero_divisor", p, {"a": a, "b": b}, "ab!=0")
+        for p, a, b in zip(pairs, zd[a_col].tolist(), zd[b_col].tolist())
+    }
+    return zd.tolist(), pairs, witnesses
 
 
 # -- idempotents ------------------------------------------------------------------
@@ -166,97 +238,80 @@ def classify_idempotents(R: RingHandle):
     x is an S-idempotent when some a outside {x, 1, 0} has a^2 = x and one of
     xa = a, ax = a, ax = x, xa = x (four-way disjunction).  Co-idempotents of
     x are all y outside {0, 1, x} with y^2 = x and yx = x or xy = y; the map
-    keeps every such y because co-idempotents are not unique.
+    keeps every such y because co-idempotents are not unique.  Each a names
+    its x as a^2, so both searches are one pass over the diagonal.
     """
     _ensure_enumerable(R)
     mul = R.mul_table
-    trivial = {R.zero} | ({R.one} if R.one is not None else set())
-    idem = sorted(x for x in R.elements() if x not in trivial and int(mul[x, x]) == x)
-    s_idem = []
-    witnesses = {}
+    idx = np.arange(R.cardinality)
+    sq = np.diagonal(mul)  # a^2
+    trivial = (idx == R.zero) | (idx == R.one)
+    idem = np.flatnonzero(~trivial & (sq == idx))
+    # candidates a: a^2 a nontrivial idempotent x, a outside {x, 0, 1}
+    cand = ~trivial & (sq != idx) & np.isin(sq, idem)
+    xa, ax = mul[sq, idx], mul[idx, sq]
+    clause = np.select([xa == idx, ax == idx, ax == sq, xa == sq], [1, 2, 3, 4], 0)
+    a = np.flatnonzero(cand & (clause > 0))
+    s_idem, first = np.unique(sq[a], return_index=True)
+    witnesses = {
+        x: WitnessRecord("s_idempotent", (x,), {"a": w}, ("xa=a", "ax=a", "ax=x", "xa=x")[k - 1])
+        for x, w, k in zip(s_idem.tolist(), a[first].tolist(), clause[a[first]].tolist())
+    }
     co_map: dict[int, list[int]] = {}
-    for x in idem:
-        excluded = {x, R.zero} | ({R.one} if R.one is not None else set())
-        for a in R.elements():
-            if a in excluded or int(mul[a, a]) != x:
-                continue
-            clause = None
-            if int(mul[x, a]) == a:
-                clause = "xa=a"
-            elif int(mul[a, x]) == a:
-                clause = "ax=a"
-            elif int(mul[a, x]) == x:
-                clause = "ax=x"
-            elif int(mul[x, a]) == x:
-                clause = "xa=x"
-            if clause:
-                s_idem.append(x)
-                witnesses[x] = WitnessRecord("s_idempotent", (x,), {"a": a}, clause)
-                break
-        cos = []
-        for y in R.elements():
-            if y in excluded or int(mul[y, y]) != x:
-                continue
-            if int(mul[y, x]) == x or int(mul[x, y]) == y:
-                cos.append(y)
-        if cos:
-            co_map[x] = cos
-    return idem, s_idem, witnesses, co_map
+    for y in np.flatnonzero(cand & ((ax == sq) | (xa == idx))).tolist():
+        co_map.setdefault(int(sq[y]), []).append(y)
+    return idem.tolist(), s_idem.tolist(), witnesses, dict(sorted(co_map.items()))
 
 
 # -- nilpotents --------------------------------------------------------------------
 
 
-def _nonzero_powers(R: RingHandle, x: int) -> tuple[list[int], bool]:
-    """Powers x, x^2, ... until zero or a repeat; flag is nilpotency."""
-    seen = []
-    seen_set = set()
-    cur = x
-    while cur != R.zero and cur not in seen_set:
-        seen.append(cur)
-        seen_set.add(cur)
-        cur = R.mul(cur, x)
-    return seen, cur == R.zero
-
-
 @_once_per_ring
 def classify_nilpotents(R: RingHandle):
     """Nilpotents and S-nilpotents: x nilpotent with some non-nilpotent
-    y outside {0, x} killed against a nonzero power of x."""
+    y outside {0, x} killed against a nonzero power of x.
+
+    x is nilpotent when its idempotent power is 0.  Since x^r y = 0 gives
+    x^(r+1) y = 0 (and likewise on the right), y qualifies exactly when it
+    is killed against the last nonzero power x^preperiod; the witness keeps
+    the least such y and, for it, the least r.
+    """
     _ensure_enumerable(R)
-    powers = {}
-    nil = []
-    for x in R.elements():
-        if x == R.zero:
-            continue
-        p, is_nil = _nonzero_powers(R, x)
-        powers[x] = p
-        if is_nil:
-            nil.append(x)
-    nil_set = set(nil)
-    s_nil = []
-    witnesses = {}
-    for x in nil:
-        found = None
-        for y in R.elements():
-            if y in (R.zero, x) or y in nil_set:
-                continue
-            for r, xr in enumerate(powers[x], start=1):
-                if R.mul(xr, y) == R.zero:
-                    found = WitnessRecord("s_nilpotent", (x,), {"y": y, "r": r}, "x^r.y=0")
-                    break
-                if R.mul(y, xr) == R.zero:
-                    found = WitnessRecord("s_nilpotent", (x,), {"y": y, "s": r}, "y.x^s=0")
-                    break
-            if found:
-                break
-        if found:
-            s_nil.append(x)
-            witnesses[x] = found
-    return nil, s_nil, witnesses
+    seq = power_sequences(R)
+    mul = R.mul_table
+    idx = np.arange(R.cardinality)
+    nil = np.flatnonzero((seq.idempotent == R.zero) & (idx != R.zero))
+    powers = [nil]  # powers[r - 1] = x^r, 0 past the preperiod
+    for _ in range(1, int(seq.preperiod[nil].max(initial=1))):
+        powers.append(mul[powers[-1], nil])
+    powers = np.stack(powers, axis=1)
+    last = powers[np.arange(len(nil)), seq.preperiod[nil] - 1]
+
+    def killed(r0, r1):
+        t = last[r0:r1, None]
+        # y != 0 and y != x, as both are nilpotent
+        return ((mul[t, idx] == R.zero) | (mul[idx, t] == R.zero)) & (seq.idempotent != R.zero)
+
+    y_col, _ = _first_hits(len(nil), R.cardinality, killed)
+    xs, ys, powers = nil[y_col >= 0], y_col[y_col >= 0, None], powers[y_col >= 0]
+    left = mul[powers, ys] == R.zero
+    r = (left | (mul[ys, powers] == R.zero)).argmax(axis=1)  # a hit by x^preperiod
+    witnesses = {
+        x: WitnessRecord("s_nilpotent", (x,), {"y": y, "r": e + 1}, "x^r.y=0")
+        if is_left else WitnessRecord("s_nilpotent", (x,), {"y": y, "s": e + 1}, "y.x^s=0")
+        for x, y, e, is_left in zip(
+            xs.tolist(), ys[:, 0].tolist(), r.tolist(), left[np.arange(len(r)), r].tolist()
+        )
+    }
+    return nil.tolist(), list(witnesses), witnesses
 
 
 # -- semi idempotents ---------------------------------------------------------------
+
+
+def _defects(R: RingHandle) -> np.ndarray:
+    """x^2 - x for every element x."""
+    return R.add_table[np.diagonal(R.mul_table), R.neg_vec]
 
 
 @dataclass(frozen=True)
@@ -283,10 +338,9 @@ def semi_idempotents(R: RingHandle, level: str = "plain"):
     else:
         out = []
         certs = [(f.mask, f.identity) for f in field_subsets(R)]
-    for x in R.elements():
+    for x, g in enumerate(_defects(R).tolist()):
         if x == R.zero:
             continue
-        g = R.sub(R.mul(x, x), x)
         ideal = ideal_generated(R, [g], "two_sided")
         plain_ok = (not contains(ideal, x)) or ideal == full
         if level == "plain":
@@ -319,14 +373,12 @@ def super_idempotents(R: RingHandle) -> list[SuperIdempotentVerdict]:
     _ensure_enumerable(R)
     _, s_idem, _, _ = classify_idempotents(R)
     s_set = set(s_idem)
-    out = []
-    for x in R.elements():
-        if x == R.zero:
-            continue
-        t = R.sub(R.mul(x, x), x)
-        if R.mul(t, t) == t:
-            out.append(SuperIdempotentVerdict(x, t, t == R.zero, t in s_set))
-    return out
+    t = _defects(R)
+    xs = np.flatnonzero((np.arange(R.cardinality) != R.zero) & (np.diagonal(R.mul_table)[t] == t))
+    return [
+        SuperIdempotentVerdict(x, d, d == R.zero, d in s_set)
+        for x, d in zip(xs.tolist(), t[xs].tolist())
+    ]
 
 
 # -- SS and SSS elements ----------------------------------------------------------------
@@ -337,21 +389,13 @@ def ss_elements(R: RingHandle):
     """SS elements a (a^2 = a + a, a outside {0, 1+1}) and SSS pairs
     (x, y), y != x, with xy = x + y; ordered pairs, both orientations kept."""
     _ensure_enumerable(R)
-    two = R.add(R.one, R.one) if R.one is not None else None
-    ss = []
-    for a in R.elements():
-        if a == R.zero or (two is not None and a == two):
-            continue
-        if R.mul(a, a) == R.add(a, a):
-            ss.append(a)
-    sss = []
-    for x in R.elements():
-        for y in R.elements():
-            if y == x:
-                continue
-            if R.mul(x, y) == R.add(x, y):
-                sss.append((x, y))
-    return ss, sss
+    add, mul = R.add_table, R.mul_table
+    idx = np.arange(R.cardinality)
+    two = add[R.one, R.one] if R.one is not None else None
+    ss = np.flatnonzero((idx != R.zero) & (idx != two) & (np.diagonal(mul) == np.diagonal(add)))
+    same = mul == add
+    np.fill_diagonal(same, False)
+    return ss.tolist(), [tuple(p) for p in np.argwhere(same).tolist()]
 
 
 # -- semiunits ----------------------------------------------------------------------------
@@ -363,25 +407,20 @@ def semiunits(R: RingHandle, level: str = "plain"):
     _ensure_enumerable(R)
     if R.one is None:
         return [], {}
-    s_units: set[int] = set()
-    if level == "smarandache":
-        _, su, _ = classify_units(R)
-        s_units = set(su)
-    out = []
-    witnesses = {}
-    for x in R.elements():
-        for y in R.elements():
-            if y == R.zero:
-                continue
-            xp, yp = R.add(x, R.one), R.add(y, R.one)
-            if R.mul(xp, yp) != R.one:
-                continue
-            if level == "smarandache" and not (xp in s_units and yp in s_units):
-                continue
-            out.append(x)
-            witnesses[x] = WitnessRecord("semiunit", (x,), {"y": y}, "(x+1)(y+1)=1")
-            break
-    return out, witnesses
+    shifted = R.add_table[:, R.one]  # x + 1
+    rows = np.isin(shifted, classify_units(R)[1]) if level == "smarandache" else np.ones_like(shifted, bool)
+    cols = rows & (np.arange(R.cardinality) != R.zero)
+
+    def solves(r0, r1):
+        return (R.mul_table[shifted[r0:r1, None], shifted] == R.one) & cols & rows[r0:r1, None]
+
+    y_col, _ = _first_hits(R.cardinality, R.cardinality, solves)
+    witnesses = {
+        x: WitnessRecord("semiunit", (x,), {"y": y}, "(x+1)(y+1)=1")
+        for x, y in enumerate(y_col.tolist())
+        if y >= 0
+    }
+    return list(witnesses), witnesses
 
 
 # -- clean and regular elements ------------------------------------------------------------
@@ -390,29 +429,22 @@ def semiunits(R: RingHandle, level: str = "plain"):
 def clean_elements(R: RingHandle, idempotent_policy: str = "nontrivial") -> list[int]:
     """Sums of an idempotent and a unit; policy 'nontrivial' bars e in {0, 1}."""
     _ensure_enumerable(R)
-    units = elements_of(units_mask(R))
-    idems = [x for x in R.elements() if R.mul(x, x) == x]
+    units = np.array(elements_of(units_mask(R)), dtype=np.int64)
+    idx = np.arange(R.cardinality)
+    idems = np.diagonal(R.mul_table) == idx
     if idempotent_policy == "nontrivial":
-        idems = [e for e in idems if e not in (R.zero, R.one)]
+        idems &= (idx != R.zero) & (idx != R.one)
     elif idempotent_policy != "any":
         raise ValueError("idempotent_policy must be 'nontrivial' or 'any'")
-    out = set()
-    for e in idems:
-        for u in units:
-            out.add(R.add(e, u))
-    return sorted(out)
+    return np.unique(R.add_table[np.ix_(np.flatnonzero(idems), units)]).tolist()
 
 
 def regular_elements(R: RingHandle) -> list[int]:
     """{s : sr != 0 and rs != 0 for every r != 0}."""
     _ensure_enumerable(R)
-    mul = R.mul_table
-    out = []
-    nonzero = [r for r in R.elements() if r != R.zero]
-    for s in R.elements():
-        if all(int(mul[s, r]) != R.zero and int(mul[r, s]) != R.zero for r in nonzero):
-            out.append(s)
-    return out
+    kills = R.mul_table == R.zero
+    nonzero = np.arange(R.cardinality) != R.zero
+    return np.flatnonzero(~((kills & nonzero).any(axis=1) | (kills & nonzero[:, None]).any(axis=0))).tolist()
 
 
 # -- census table ----------------------------------------------------------------------
@@ -491,10 +523,19 @@ def verify_witness(R: RingHandle, rec: WitnessRecord) -> bool:
             return False
         return x in (R.mul(x, a), R.mul(a, x)) or a in (R.mul(x, a), R.mul(a, x))
     if rec.category == "s_nilpotent":
+
+        def nonzero_powers(z: int) -> tuple[list[int], bool]:
+            """Powers z, z^2, ... until zero or a repeat; flag is nilpotency."""
+            seen, cur = [], z
+            while cur != R.zero and cur not in seen:
+                seen.append(cur)
+                cur = R.mul(cur, z)
+            return seen, cur == R.zero
+
         (x,) = rec.subject
         y = rec.roles["y"]
-        powers, x_nil = _nonzero_powers(R, x)
-        _, y_nil = _nonzero_powers(R, y)
+        powers, x_nil = nonzero_powers(x)
+        _, y_nil = nonzero_powers(y)
         if not x_nil or y_nil or y in (R.zero, x):
             return False
         return any(R.mul(p, y) == R.zero or R.mul(y, p) == R.zero for p in powers)

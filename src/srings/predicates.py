@@ -2,7 +2,10 @@
 
 A verdict is True/False, or None for "not applicable" when a definition's
 precondition (usually "the ring carries a field subset") fails: that is a
-distinct outcome, not falsity.
+distinct outcome, not falsity.  Checks are array code over the op tables;
+the elementwise laws read powers, preperiods and periods off
+``elements.power_sequences``, and a counterexample is the least witness in
+scan order: the first failing member, in the order the members are given.
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import contains, elements_of, mask_of
+from .bits import contains, elements_of
 from .errors import CapacityError
-from .rings import RingHandle, additive_orders, is_prime, subring_as_ring
+from .rings import _TABLE_BLOCK, RingHandle, additive_orders, is_prime, subring_as_ring
 from .structures import is_s_semigroup
-from .elements import classify_idempotents, classify_nilpotents, classify_zero_divisors
+from .elements import classify_idempotents, classify_nilpotents, classify_zero_divisors, power_sequences
 from .substructures import (
     domain_subsets,
     field_subsets,
@@ -64,7 +67,7 @@ def basic_census(R: RingHandle) -> list[PredicateVerdict]:
     field = comm.verdict and nonzero_all_units and not zd
     domain = bool(comm.verdict) and not zd and n > 1
     division = (not comm.verdict) and nonzero_all_units and not zd
-    boolean = all(R.mul(x, x) == x for x in R.elements())
+    boolean = bool((power_sequences(R).power(2) == np.arange(n)).all())
     return [
         comm,
         PredicateVerdict("field", bool(field), counterexample=None if field else (zd[:1] or None)),
@@ -121,99 +124,58 @@ def s_commutative_II(R: RingHandle, mode: str = "strict") -> tuple[PredicateVerd
 # -- elementwise laws ----------------------------------------------------------------
 
 
-def _power_data(R: RingHandle, x: int) -> tuple[int, int]:
-    """(preperiod, period) of the power sequence x, x^2, ..."""
-    seen: dict[int, int] = {}
-    cur, i = x, 1
-    while cur not in seen:
-        seen[cur] = i
-        cur = R.mul(cur, x)
-        i += 1
-    return seen[cur] - 1, i - seen[cur]
-
-
-def _potency_exponent(R: RingHandle, x: int) -> int | None:
-    """Least n > 1 with x^n = x, or None."""
-    pre, period = _power_data(R, x)
-    return 1 + period if pre == 0 else None
+def _first_failure(members: np.ndarray, ok: np.ndarray) -> int | None:
+    """The first member, in the given order, where ok is False."""
+    return None if ok.all() else int(members[np.argmin(ok)])
 
 
 def law_holds_on(R: RingHandle, members: list[int], law: str, p: int | None = None):
     """Evaluate one elementwise law on a subset; returns (holds, data)."""
+    seq = power_sequences(R)
+    m = np.array(members, dtype=np.int64)
+    nonzero = m[m != R.zero]
     if law == "zero_square":
-        for x in members:
-            if R.mul(x, x) != R.zero:
-                return False, x
-        return True, None
+        bad = _first_failure(m, seq.power(2)[m] == R.zero)
+        return bad is None, bad
     if law == "p_ring":
+        orders = additive_orders(R)[m]
         if p is None:
             # existential prime: px = 0 forces p to be the additive exponent
-            p = math.lcm(*additive_orders(R)[members].tolist())
+            p = math.lcm(*orders.tolist())
             if not is_prime(p):
                 return False, None
-        for x in members:
-            if R.power(x, p) != x or _n_times(R, p, x) != R.zero:
-                return False, x
-        return True, p
+        bad = _first_failure(m, (seq.power(p)[m] == m) & (p % orders == 0))
+        return (True, p) if bad is None else (False, bad)
     if law == "e_ring":
         # uniform n >= 1 with x^(2^n) = x and 2x = 0 on the subset
-        for x in members:
-            if _n_times(R, 2, x) != R.zero:
-                return False, x
-        for n_exp in range(1, 13):
-            if all(R.power(x, 2**n_exp) == x for x in members if x != R.zero):
-                return True, n_exp
-        return False, None
+        bad = _first_failure(m, 2 % additive_orders(R)[m] == 0)
+        if bad is not None:
+            return False, bad
+        n_exp = next((n for n in range(1, 13) if (seq.power(2**n)[nonzero] == nonzero).all()), None)
+        return n_exp is not None, n_exp
     if law in ("j_ring", "weakly_boolean"):
-        exps = {}
-        for x in members:
-            if x == R.zero:
-                continue
-            e = _potency_exponent(R, x)
-            if e is None:
-                return False, x
-            exps[x] = e
-        uniform = _uniform_exponent(R, [x for x in members if x != R.zero])
-        return True, {"exponents": exps, "uniform": uniform}
+        # x^n = x with n = 1 + period exactly when x is on its own cycle
+        bad = _first_failure(nonzero, seq.preperiod[nonzero] == 0)
+        if bad is not None:
+            return False, bad
+        periods = seq.period[nonzero].tolist()
+        exps = {x: 1 + period for x, period in zip(nonzero.tolist(), periods)}
+        return True, {"exponents": exps, "uniform": 1 + math.lcm(*periods) if periods else 2}
     if law == "pre_j_ring":
         # uniform n in 2..bound with a^n b = a b^n for all pairs
         if not members:
             return True, 2
-        bound = 2
-        for x in members:
-            pre, period = _power_data(R, x)
-            bound = max(bound, pre + 1 + period)
-        lcm_p = 1
-        for x in members:
-            lcm_p = math.lcm(lcm_p, _power_data(R, x)[1])
-        for n in range(2, bound + lcm_p + 1):
-            if all(
-                R.mul(R.power(a, n), b) == R.mul(a, R.power(b, n))
-                for a in members
-                for b in members
-                if a != R.zero and b != R.zero
-            ):
+        bound = max(2, int((seq.preperiod[m] + 1 + seq.period[m]).max()))
+        mul, step = seq.mul, max(1, _TABLE_BLOCK // max(1, len(nonzero)))
+        idx = power = np.arange(R.cardinality)
+        for n in range(2, bound + math.lcm(*seq.period[m].tolist()) + 1):
+            power = mul[power, idx]
+            a_n = power[nonzero]  # row blocks of pairs, up to the first that fails
+            if all(np.array_equal(mul[np.ix_(a_n[r : r + step], nonzero)], mul[np.ix_(nonzero[r : r + step], a_n)])
+                   for r in range(0, len(nonzero), step)):
                 return True, n
         return False, None
     raise ValueError(f"unknown law {law!r}")
-
-
-def _n_times(R: RingHandle, n: int, x: int) -> int:
-    acc = R.zero
-    for _ in range(n):
-        acc = R.add(acc, x)
-    return acc
-
-
-def _uniform_exponent(R: RingHandle, members: list[int]) -> int | None:
-    """Least uniform n > 1 with x^n = x for all members, if any."""
-    periods = []
-    for x in members:
-        pre, period = _power_data(R, x)
-        if pre != 0:
-            return None
-        periods.append(period)
-    return 1 + math.lcm(*periods) if periods else 2
 
 
 def elementwise_law(R: RingHandle, law: str, p: int | None = None) -> PredicateVerdict:
@@ -280,7 +242,7 @@ def s_domain_flags(R: RingHandle, mode: str = "strict") -> list[PredicateVerdict
     counter = None
     for v in s_ideals(R, "I", mode, include_trivial=False):
         members = elements_of(v.mask)
-        if all(R.mul(a, b) == R.zero for a in members for b in members) and v.mask != 1 << R.zero:
+        if (R.mul_table[np.ix_(members, members)] == R.zero).all() and v.mask != 1 << R.zero:
             s_semiprime = False
             counter = v.mask
             break

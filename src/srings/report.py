@@ -100,12 +100,16 @@ def lattice_report(
     pentagons: list | None,
     ring: RingHandle,
     not_lattice_reason: str | None = None,
+    diamonds: list | None = None,
 ) -> dict:
+    """One record per poset node, shared by the node list and every
+    reported pentagon and diamond."""
     longest, total = chain_stats(poset)
+    nodes = [subset_record(m, ring) for m in poset.nodes]
     out = {
         "family": family_name,
         "node_count": len(poset.nodes),
-        "nodes": [subset_record(m, ring) for m in poset.nodes],
+        "nodes": nodes,
         "is_lattice": lattice is not None,
         "chain": {"longest": longest, "total_order": total},
     }
@@ -116,10 +120,9 @@ def lattice_report(
             name: {"holds": v.holds, "counterexample": list(v.counterexample) if v.counterexample else None}
             for name, v in identities.items()
         }
-    if pentagons is not None:
-        out["pentagons"] = [
-            [subset_record(poset.nodes[i], ring) for i in tup] for tup in pentagons
-        ]
+    for key, found in (("pentagons", pentagons), ("diamonds", diamonds)):
+        if found is not None:
+            out[key] = [[nodes[i] for i in tup] for tup in found]
     return out
 
 

@@ -161,17 +161,6 @@ class RingHandle:
             return int(self.neg_vec[a])
         return self._scalar(self.kernel.neg, a)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def power(self, a: int, k: int) -> int:
-        if k < 1:
-            raise ValueError("power needs k >= 1")
-        acc = a
-        for _ in range(k - 1):
-            acc = self.mul(acc, a)
-        return acc
-
     def elements(self) -> range:
         if not self.enumerable:
             raise CapacityError(f"{self.name}: not enumerable")
@@ -567,9 +556,9 @@ def subring_as_ring(R: RingHandle, mask: int, name: str | None = None, validate:
     if members[0] != R.zero:
         raise ValueError("subring subset must contain zero")
     arr = np.array(members)
-    pos = {m: i for i, m in enumerate(members)}
-    add = np.array([[pos[R.add(a, b)] for b in members] for a in members], dtype=np.int32)
-    mul = np.array([[pos[R.mul(a, b)] for b in members] for a in members], dtype=np.int32)
+    pos = np.full(R.cardinality, -1, dtype=np.int32)
+    pos[arr] = np.arange(len(arr))
+    add, mul = (pos[table[np.ix_(arr, arr)]] for table in (R.add_table, R.mul_table))
     sub = table_ring(add, mul, name=name or f"{R.name}|{mask:x}", limits=R.limits,
                      validate=validate, labeler=lambda c: R.label(int(arr[c])))
     sub.meta["parent"] = R

@@ -49,11 +49,12 @@ class GroupWitness:
     identity: int
 
 
-def close_under_op(table: np.ndarray, mask: int) -> int:
-    """Smallest subset containing mask and closed under the table's operation."""
+def close_under_op(table: np.ndarray, mask: int, closed: int = 0) -> int:
+    """Smallest subset containing mask and closed under the table's operation;
+    ``closed`` is a part of mask known to be closed already."""
     return close(mask, lambda new, members: np.concatenate(
         (table[np.ix_(new, members)].ravel(), table[np.ix_(members, new)].ravel())
-    ))
+    ), closed)
 
 
 def generators(table: np.ndarray, span: int = 0) -> list[int]:
@@ -63,11 +64,11 @@ def generators(table: np.ndarray, span: int = 0) -> list[int]:
     n = table.shape[0]
     reached = np.zeros((n, n), dtype=bool)
     reached[np.arange(n)[:, None], table] = True
-    gens = []
+    gens, closed = [], 0
     for x in np.argsort(-reached.sum(axis=1), kind="stable").tolist():
         if not span >> x & 1:
             gens.append(x)
-            span = close_under_op(table, span | 1 << x)
+            span = closed = close_under_op(table, span | 1 << x, closed)
     return gens
 
 
@@ -241,7 +242,7 @@ def enumerate_subsemigroups(s: CayleyStructure, limits: EngineLimits = DEFAULT_L
     On a finite group these are exactly the subgroups.
     """
     atoms = [(close_under_op(s.table, 1 << x), x) for x in range(s.size)]
-    family = grow_family(atoms, lambda a, b: close_under_op(s.table, a | b), limits.family_cap, "subsemigroup")
+    family = grow_family(atoms, lambda a, b: close_under_op(s.table, a | b, a), limits.family_cap, "subsemigroup")
     return sorted(family)
 
 

@@ -355,8 +355,8 @@ def s_subrings(
     R: RingHandle, level: str = "I", mode: str = "strict", limits: EngineLimits | None = None
 ) -> list[SubstructureVerdict]:
     """Proper subrings carrying a field (level I) or domain (level II) subset."""
+    certs = _certificates(R, level, limits)  # refuses a ring above the enumeration cap
     full = (1 << R.cardinality) - 1
-    certs = _certificates(R, level, limits)
     out = []
     for mask in subrings(R, limits):
         if mask == full:
@@ -378,9 +378,9 @@ def s_ideals(
 ) -> list[SubstructureVerdict]:
     """Ideals carrying a certificate per level/mode; {0} and R join the family
     by convention when include_trivial is set."""
+    certs = _certificates(R, level, limits)  # refuses a ring above the enumeration cap
     full = (1 << R.cardinality) - 1
     zero_mask = 1 << R.zero
-    certs = _certificates(R, level, limits)
     out = []
     for mask in ideals(R, side, limits):
         if mask in (full, zero_mask):
@@ -413,8 +413,9 @@ FAMILIES = {
 
 def has_s_ring(R: RingHandle, level: str = "I", mode: str = "strict", limits=None):
     """Ring-level S-property: a qualifying certificate inside R itself."""
+    certs = _certificates(R, level, limits)  # refuses a ring above the enumeration cap
     full = (1 << R.cardinality) - 1
-    for cert, ident in _certificates(R, level, limits):
+    for cert, ident in certs:
         if _qualifies(cert, full, full, "lax"):  # cert != R is the only constraint
             return True, (cert, ident)
     return False, None

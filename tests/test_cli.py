@@ -1,12 +1,15 @@
 """CLI contract: documented exit codes with a one-line message, never a
 traceback (2 usage or parse error, 3 capacity)."""
 
+import functools
 import json
 
 import pytest
 
 import srings.rings
+import srings.specparse
 from srings.cli import main
+from srings.predicates import PREDICATES
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -42,6 +45,20 @@ def test_refusal_runs_no_axiom_audit(capsys, monkeypatch, argv, refusal):
     monkeypatch.setattr(srings.rings, "_audit_tables", audit)
     assert main(argv) == 3
     assert capsys.readouterr() == ("", f"capacity: M9(Z9): {refusal}\n")
+
+
+def test_every_predicate_on_a_ring_above_the_cap(capsys, monkeypatch):
+    # each id is refused with one capacity line or answered; the ring is
+    # built (and sample-audited) once for all of them
+    monkeypatch.setattr(srings.specparse, "ring_from_text", functools.cache(srings.specparse.ring_from_text))
+    for pid in sorted(name for ids, _ in PREDICATES for name in ids):
+        code = main(["predicates", "M9(Z9)", "--only", pid])
+        out, err = capsys.readouterr()
+        assert code in (0, 3), pid
+        if code == 3:
+            assert out == "" and err.startswith("capacity: M9(Z9): ") and err.count("\n") == 1, pid
+        else:
+            assert err == "" and [v["id"] for v in json.loads(out)["predicates"]] == [pid]
 
 
 def test_sublattice_search_cap(capsys):

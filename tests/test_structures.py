@@ -13,6 +13,7 @@ import pytest
 from srings.bits import elements_of, mask_of
 from srings.config import DEFAULT_LIMITS
 from srings.errors import CapacityError, ValidationError
+from srings.specparse import structure_from_text
 from srings.structures import (
     CayleyStructure,
     associative_over,
@@ -301,3 +302,30 @@ def test_build_entry_points():
         build_group(("frobnitz", 3))
     with pytest.raises(ValueError):
         cyclic_group(0)
+
+
+def test_closing_from_a_known_closed_part_equals_closing_from_scratch():
+    rng = np.random.default_rng(7)
+    for n in (1, 5, 12, 40):
+        for _ in range(20):
+            t = rng.integers(0, n, size=(n, n))
+            closed = close_under_op(t, int(rng.integers(0, 1 << min(n, 16))) & ((1 << n) - 1))
+            mask = closed | int(rng.integers(0, 1 << min(n, 16)))
+            assert close_under_op(t, mask, closed) == close_under_op(t, mask)
+
+
+@pytest.mark.parametrize("spec, gens", [
+    ("S(5)", [194, 198, 214, 294, 694, 38]),
+    ("D64", [0, 1, 64]),
+    ("Zn*64", [1, 3, 5, 2]),
+])
+def test_generators_close_each_span_once(spec, gens):
+    table = structure_from_text(spec).table
+    assert generators(table) == gens
+    # the same greedy choice, each span closed from scratch
+    span, plain = 0, []
+    for x in np.argsort(-np.array([len(set(row)) for row in table.tolist()]), kind="stable").tolist():
+        if not span >> x & 1:
+            plain.append(x)
+            span = close_under_op(table, span | 1 << x)
+    assert plain == gens
