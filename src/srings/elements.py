@@ -21,8 +21,8 @@ import numpy as np
 
 from .bits import contains, elements_of
 from .errors import CapacityError
-from .rings import _TABLE_BLOCK, RingHandle
-from .substructures import _cached, field_subsets, ideal_generated, units_mask
+from .rings import _TABLE_BLOCK, RingHandle, _cached
+from .substructures import field_subsets, ideal_generated, units_mask
 
 
 @dataclass(frozen=True)

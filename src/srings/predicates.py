@@ -10,6 +10,7 @@ scan order: the first failing member, in the order the members are given.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .bits import contains, elements_of
 from .errors import CapacityError
-from .rings import _TABLE_BLOCK, RingHandle, additive_orders, is_prime, subring_as_ring
+from .rings import _TABLE_BLOCK, RingHandle, additive_group, is_prime, subring_as_ring
 from .structures import is_s_semigroup
 from .elements import classify_idempotents, classify_nilpotents, classify_zero_divisors, power_sequences
 from .substructures import (
@@ -138,7 +139,7 @@ def law_holds_on(R: RingHandle, members: list[int], law: str, p: int | None = No
         bad = _first_failure(m, seq.power(2)[m] == R.zero)
         return bad is None, bad
     if law == "p_ring":
-        orders = additive_orders(R)[m]
+        orders = additive_group(R).orders[m]
         if p is None:
             # existential prime: px = 0 forces p to be the additive exponent
             p = math.lcm(*orders.tolist())
@@ -148,7 +149,7 @@ def law_holds_on(R: RingHandle, members: list[int], law: str, p: int | None = No
         return (True, p) if bad is None else (False, bad)
     if law == "e_ring":
         # uniform n >= 1 with x^(2^n) = x and 2x = 0 on the subset
-        bad = _first_failure(m, 2 % additive_orders(R)[m] == 0)
+        bad = _first_failure(m, 2 % additive_group(R).orders[m] == 0)
         if bad is not None:
             return False, bad
         n_exp = next((n for n in range(1, 13) if (seq.power(2**n)[nonzero] == nonzero).all()), None)
@@ -219,12 +220,14 @@ def s_localized_law(
                 return PredicateVerdict(name, True, witness=(v.mask, data), mode=mode)
         return PredicateVerdict(name, False, mode=mode)
     if placement == "subring_of_s_subring":
-        sub_family = subrings(R)
+        sub_family = [b for b in subrings(R) if b.bit_count() >= 2]
+        # a subring lies in many S-subrings; its verdict does not depend on which
+        verdict = functools.cache(lambda b: law_holds_on(R, elements_of(b), law, p))
         for v in s_subs:
             for b in sub_family:
-                if b & ~v.mask or b.bit_count() < 2:
+                if b & ~v.mask:
                     continue
-                holds, data = law_holds_on(R, elements_of(b), law, p)
+                holds, data = verdict(b)
                 if holds:
                     return PredicateVerdict(name, True, witness=(v.mask, b, data), mode=mode)
         return PredicateVerdict(name, False, mode=mode)

@@ -16,6 +16,12 @@ kernel on length-1 arrays; the axiom audit of a ring above the enumeration
 cap is one batched call on random triples.  Every other ring gets an exact
 audit, over additive generators.  Codes are int64 below 2^63 and Python
 ints (dtype object) from there on, so no cardinality overflows.
+
+(R,+) is read once per ring handle and cached: :func:`additive_generators`
+is its greedy generating set, and :func:`additive_group` one walk x, 2x, 3x,
+... over the addition table for every additive order and cyclic subgroup.
+Quotients are array code too; scalar ``add``/``mul``/``neg`` serve only the
+re-check of single witnesses.
 """
 
 from __future__ import annotations
@@ -168,6 +174,12 @@ class RingHandle:
 
     def label(self, code: int) -> str:
         return self._labeler(code) if self._labeler else str(code)
+
+
+def _cached(R: RingHandle, key, compute):
+    if key not in R._cache:
+        R._cache[key] = compute()
+    return R._cache[key]
 
 
 # -- mixed-radix codec --------------------------------------------------------
@@ -325,7 +337,7 @@ def _audit_tables(R: RingHandle) -> list[AxiomViolation]:
     if not (add == R.zero).any(axis=1).all():
         out.append(AxiomViolation("additive-inverse", (int(np.argmin((add == R.zero).any(axis=1))),)))
     unit_ok = R.one is None or (np.array_equal(mul[R.one], idx) and np.array_equal(mul[:, R.one], idx))
-    if not out and unit_ok and _laws_hold_over(add, mul, generators(add, 1 << R.zero) or [R.zero]):
+    if not out and unit_ok and _laws_hold_over(add, mul, additive_generators(R) or [R.zero]):
         return []
     for axiom, table in (("additive-associativity", add), ("multiplicative-associativity", mul)):
         w = associativity_witness(table)
@@ -574,17 +586,10 @@ def is_two_sided_ideal(R: RingHandle, mask: int) -> bool:
     if not contains(mask, R.zero):
         return False
     members = elements_of(mask)
-    for a in members:
-        for b in members:
-            if not contains(mask, R.add(a, b)):
-                return False
-        if not contains(mask, R.neg(a)):
-            return False
-    for r in R.elements():
-        for a in members:
-            if not contains(mask, R.mul(r, a)) or not contains(mask, R.mul(a, r)):
-                return False
-    return True
+    inside = np.isin(np.arange(R.cardinality), members)
+    add, mul = R.add_table, R.mul_table
+    return bool(inside[add[np.ix_(members, members)]].all() and inside[R.neg_vec[members]].all()
+                and inside[mul[:, members]].all() and inside[mul[members]].all())
 
 
 def quotient_ring(R: RingHandle, ideal_mask: int, validate: bool = True) -> RingHandle:
@@ -593,22 +598,16 @@ def quotient_ring(R: RingHandle, ideal_mask: int, validate: bool = True) -> Ring
         raise CapacityError(f"{R.name}: quotient needs an enumerable ring")
     if not is_two_sided_ideal(R, ideal_mask):
         raise ValueError("subset is not a two-sided ideal")
-    members = elements_of(ideal_mask)
-    rep = np.full(R.cardinality, -1, dtype=np.int64)
-    for x in R.elements():
-        if rep[x] >= 0:
-            continue
-        coset = sorted(R.add(x, i) for i in members)
-        for y in coset:
-            rep[y] = coset[0]
-    reps = sorted(set(int(r) for r in rep))
-    pos = {r: i for i, r in enumerate(reps)}
-    k = len(reps)
-    add = np.array([[pos[int(rep[R.add(a, b)])] for b in reps] for a in reps], dtype=np.int32)
-    mul = np.array([[pos[int(rep[R.mul(a, b)])] for b in reps] for a in reps], dtype=np.int32)
-    one = pos[int(rep[R.one])] if R.one is not None else None
+    rep = R.add_table[:, elements_of(ideal_mask)].min(axis=1)  # least element of x + I
+    reps = np.unique(rep)
+    pos = np.zeros(R.cardinality, dtype=np.int32)
+    pos[reps] = np.arange(len(reps))
+    coset = pos[rep]  # the quotient code of every element
+    add, mul = (coset[table[np.ix_(reps, reps)]] for table in (R.add_table, R.mul_table))
+    one = int(coset[R.one]) if R.one is not None else None
+    reps = reps.tolist()
     Q = RingHandle(
-        k, "quotient", f"{R.name}/I{ideal_mask:x}", one=one,
+        len(reps), "quotient", f"{R.name}/I{ideal_mask:x}", one=one,
         add_table=add, mul_table=mul, limits=R.limits,
         meta={"parent": R, "ideal": ideal_mask, "reps": reps},
         labeler=lambda c: f"{R.label(reps[c])}+I",
@@ -619,20 +618,44 @@ def quotient_ring(R: RingHandle, ideal_mask: int, validate: bool = True) -> Ring
 # -- characteristic --------------------------------------------------------------
 
 
-def additive_orders(R: RingHandle) -> np.ndarray:
-    """Additive order of every element of an enumerable ring: the least
-    m >= 1 with m.x = 0, by repeated addition over the table."""
-    n = R.cardinality
-    idx = np.arange(n)
-    acc = idx.copy()
-    orders = np.zeros(n, dtype=np.int64)
-    add = R.add_table
-    for m in range(1, n + 1):
-        orders[(acc == R.zero) & (orders == 0)] = m
-        if orders.all():
-            return orders
-        acc = add[acc, idx]
-    raise ValidationError(f"{R.name}: additive structure is not a group")
+class AdditiveGroup(NamedTuple):
+    """What the walk x, 2x, 3x, ... reads off (R,+)."""
+
+    orders: np.ndarray  # the additive order of every element
+    exponent: int  # the lcm of the orders: the characteristic
+    cyclics: dict[int, int]  # each cyclic subgroup's mask -> its least generator
+
+
+def additive_group(R: RingHandle) -> AdditiveGroup:
+    """Orders and cyclic subgroups of an enumerable ring's (R,+), from one
+    vectorised walk of at most exponent rounds over the addition table;
+    row x of ``multiples`` collects m.x, so it ends as the mask of <x>."""
+
+    def walk():
+        n, add = R.cardinality, R.add_table
+        idx = acc = np.arange(n)
+        multiples = np.zeros((n, n), dtype=bool)
+        orders = np.zeros(n, dtype=np.int64)
+        for m in range(1, n + 1):
+            multiples[idx, acc] = True
+            orders[(acc == R.zero) & (orders == 0)] = m
+            if orders.all():
+                break
+            acc = add[acc, idx]
+        else:
+            raise ValidationError(f"{R.name}: additive structure is not a group")
+        cyclics: dict[int, int] = {}
+        for x, row in enumerate(np.packbits(multiples, axis=1, bitorder="little")):
+            cyclics.setdefault(int.from_bytes(row.tobytes(), "little"), x)
+        return AdditiveGroup(orders, math.lcm(*orders.tolist()), cyclics)
+
+    return _cached(R, "additive_group", walk)
+
+
+def additive_generators(R: RingHandle) -> list[int]:
+    """The greedy generating set of (R,+) over {0}: index order on a group
+    table, so a basis when (R,+) is elementary abelian."""
+    return _cached(R, "additive_generators", lambda: generators(R.add_table, 1 << R.zero))
 
 
 def is_prime(n: int) -> bool:
@@ -642,7 +665,7 @@ def is_prime(n: int) -> bool:
 def characteristic(R: RingHandle) -> int:
     """Least m >= 1 with m.x = 0 for every x: the additive exponent."""
     if R.enumerable:
-        return math.lcm(*additive_orders(R).tolist())
+        return additive_group(R).exponent
     # above the cap: derive from the construction
     if R.construction == "zn":
         return R.meta["n"]

@@ -1,11 +1,13 @@
 """Enumeration of subrings, ideals, field/domain subsets and S-substructures.
 
-Families are lists of bitmasks in canonical (ascending mask) order.
-Additive subgroups are every join of cyclic subgroups, grown by
+Families are lists of bitmasks in canonical (ascending mask) order, each
+cached per ring handle.  Additive subgroups are every join of the cyclic
+subgroups that ``rings.additive_group`` reads off (R,+), grown by
 ``bits.grow_family``; elementary abelian additive groups switch to subspace
-enumeration in echelon form, which is far faster there.  Subrings, ideals
-and field/domain subsets filter the additive subgroups.  A generated ideal
-is read off the cached ideal family rather than closed again.
+enumeration in echelon form over the basis ``rings.additive_generators``,
+which is far faster there.  Subrings, ideals and field/domain subsets filter
+the additive subgroups.  A generated ideal is read off the cached ideal
+family rather than closed again.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ import numpy as np
 from .bits import contains, elements_of, grow_family, mask_of
 from .config import DEFAULT_LIMITS, EngineLimits
 from .errors import CapacityError
-from .rings import RingHandle, additive_orders, is_prime
-from .structures import generators
+from .rings import RingHandle, _cached, additive_generators, additive_group, is_prime
 
 
 @dataclass(frozen=True)
@@ -52,35 +53,19 @@ class IdealAnnotation:
 # -- additive subgroup enumeration ------------------------------------------
 
 
-def _cached(R: RingHandle, key, compute):
-    if key not in R._cache:
-        R._cache[key] = compute()
-    return R._cache[key]
-
-
 def _vector_space_data(R: RingHandle, p: int):
-    """Basis and coordinates of (R,+) as an F_p space; None if not elementary."""
-    n = R.cardinality
-    basis = generators(R.add_table, 1 << R.zero)
-    d = len(basis)
-    if p**d != n:
-        return None
-    # multiples of each basis element
-    mult = []
-    for b in basis:
-        row = [R.zero]
-        for _ in range(p - 1):
-            row.append(R.add(row[-1], b))
-        mult.append(row)
-    elem_of_vec: dict[tuple[int, ...], int] = {}
-    for coeffs in itertools.product(range(p), repeat=d):
-        e = R.zero
-        for i, c in enumerate(coeffs):
-            e = R.add(e, mult[i][c])
-        elem_of_vec[coeffs] = e
-    if len(set(elem_of_vec.values())) != n:
-        return None
-    return basis, elem_of_vec
+    """Basis of (R,+) as an F_p space, and the element at each coordinate
+    vector: the sum of its coefficients' multiples of the basis."""
+    add, basis = R.add_table, additive_generators(R)
+    multiples = [np.full(len(basis), R.zero)]  # row c: c times each basis element
+    for _ in range(p - 1):
+        multiples.append(add[multiples[-1], basis])
+    multiples = np.array(multiples)
+    coords = np.indices((p,) * len(basis)).reshape(len(basis), -1)  # column j: the j-th vector
+    codes = np.full(coords.shape[1], R.zero)
+    for i, c in enumerate(coords):
+        codes = add[codes, multiples[c, i]]
+    return basis, dict(zip(map(tuple, coords.T.tolist()), codes.tolist()))
 
 
 def _enumerate_subspaces(p: int, d: int, elem_of_vec, limits: EngineLimits):
@@ -127,30 +112,16 @@ def additive_subgroups(
 def _additive_subgroups(R: RingHandle, limits: EngineLimits):
     if not R.enumerable:
         raise CapacityError(f"{R.name}: not enumerable")
-    orders = additive_orders(R)
-    exponent = math.lcm(*orders.tolist())
-    if is_prime(exponent) and set(orders.tolist()) <= {1, exponent}:
-        data = _vector_space_data(R, exponent)
-        if data is not None:
-            _, elem_of_vec = data
-            d = round(math.log(R.cardinality, exponent))
-            gens_by_mask = dict(_enumerate_subspaces(exponent, d, elem_of_vec, limits))
-            return sorted(gens_by_mask), gens_by_mask
+    group = additive_group(R)
+    if is_prime(group.exponent):  # (R,+) is elementary abelian
+        basis, elem_of_vec = _vector_space_data(R, group.exponent)
+        gens_by_mask = dict(_enumerate_subspaces(group.exponent, len(basis), elem_of_vec, limits))
+        return sorted(gens_by_mask), gens_by_mask
     # (R,+) is abelian: every subgroup is a join (sumset) of cyclic subgroups
     add = R.add_table
-    cyclics: dict[int, int] = {}  # mask -> generator
-    for x in range(R.cardinality):
-        m = R.zero
-        mask = 0
-        while True:
-            mask |= 1 << m
-            m = R.add(m, x)
-            if m == R.zero:
-                break
-        cyclics.setdefault(mask, x)
     members = functools.cache(elements_of)
     gens_by_mask = grow_family(
-        sorted(cyclics.items()),
+        sorted(group.cyclics.items()),
         lambda a, b: mask_of(np.unique(add[np.ix_(members(a), members(b))]).tolist()),
         limits.family_cap,
         "additive subgroup",
@@ -182,7 +153,7 @@ def ideals(R: RingHandle, side: str = "two_sided", limits: EngineLimits | None =
     def compute():
         family, gens = additive_subgroups(R, limits, with_generators=True)
         mul = R.mul_table
-        ring_gens = generators(R.add_table, 1 << R.zero) or [R.zero]
+        ring_gens = additive_generators(R) or [R.zero]
         out = []
         for mask in family:
             g = gens[mask] or [R.zero]
@@ -478,7 +449,7 @@ def s_maximal_minimal(R: RingHandle, family: list[SubstructureVerdict]) -> list[
 
 def s_characteristic(R: RingHandle, limits: EngineLimits | None = None) -> set[int]:
     """Characteristics (additive exponents) of every field/domain certificate."""
-    orders = additive_orders(R)
+    orders = additive_group(R).orders
     out = set()
     certs = {f.mask for f in field_subsets(R, limits)}
     certs |= {m for m in domain_subsets(R, limits) if m.bit_count() >= 2}

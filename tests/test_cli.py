@@ -10,6 +10,7 @@ import srings.rings
 import srings.specparse
 from srings.cli import main
 from srings.predicates import PREDICATES
+from srings.rings import RingHandle
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -197,3 +198,16 @@ def test_family_without_bounds_is_not_a_lattice(capsys, tmp_path, spec, family, 
     assert main(["claims", "run", str(ledger)]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
     assert [(r["id"], r["status"]) for r in results] == [("no", "REFUTED"), ("yes", "CONFIRMED")]
+
+
+@pytest.mark.parametrize("spec", ["Z256", "M2(Z2) x Z5", "GR(Z2, S3)"])
+def test_census_path_has_no_scalar_arithmetic(capsys, monkeypatch, spec):
+    # censuses, families and predicates read the op tables as arrays
+    def scalar(*args):
+        raise AssertionError("scalar ring arithmetic")
+
+    for op in ("add", "mul", "neg"):
+        monkeypatch.setattr(RingHandle, op, scalar)
+    assert main(["classify", spec]) == 0
+    assert main(["predicates", spec]) == 0
+    assert capsys.readouterr().err == ""

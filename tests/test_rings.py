@@ -1,19 +1,25 @@
-"""Ring constructors, codecs, characteristic, quaternions, hyperrings,
-quotients and the axiom audit."""
+"""Ring constructors, codecs, characteristic, the additive record,
+quaternions, hyperrings, quotients and the axiom audit."""
 
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
 
+import srings.structures
 from srings.bits import elements_of, mask_of
 from srings.elements import classify_nilpotents, classify_zero_divisors, inverses
 from srings.errors import CapacityError, ValidationError
+from srings.report import classify_report
 from srings.rings import (
+    additive_group,
     characteristic,
     group_ring,
     hyperring,
     hyperring_family_partition,
+    is_two_sided_ideal,
     matrix_ring,
     product_ring,
     quaternion_ring,
@@ -26,6 +32,7 @@ from srings.rings import (
 )
 from srings.specparse import ring_from_text
 from srings.structures import cyclic_group, symmetric_group, symmetric_semigroup
+from srings.substructures import additive_subgroups, ideals
 
 
 def test_zn_basics():
@@ -90,6 +97,71 @@ def test_characteristic_above_cap_derived():
     R = semigroup_ring(zn(2), symmetric_semigroup(3), validate=False)
     assert not R.enumerable
     assert characteristic(R) == 2
+
+
+# every ring spec the tests build with at most 256 elements, and Z1
+SMALL_SPECS = [
+    "Z1", "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z9", "Z10", "Z12", "Z14", "Z15", "Z16",
+    "Z22", "Z24", "Z25", "Z30", "Z105", "Z128", "Z256", "Z2 x Z4", "Z2 x Z8", "Z5 x Z7",
+    "Z2 x Z2 x Z2", "Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "Z4 x Z4 x Z4", "Z4 x Z4 x Z4 x Z2",
+    "Z3 x Z12 x Z7", "M2(Z2)", "M2(Z3)", "M2(Z4)", "M2(Z2) x Z5", "M2(Z2) x M2(Z2)",
+    "M2(Z2 x Z2)", "M2(GR(Z2, C2))", "Q(Z3)", "Q(Z4)", "GR(Z2, C2)", "GR(Z2 x Z2, C2)",
+    "GR(Z2, C2) x GR(Z2, C2)", "GR(Z2, S3)", "GR(Z4, C2) x Z4",
+]
+
+
+def plain_additive_group(R):
+    """Orders and cyclic subgroup masks -> least generator, by walking
+    x, x + x, ... back to 0 for each element in turn."""
+    add = R.add_table.tolist()
+    orders, cyclics = [], {}
+    for x in range(R.cardinality):
+        members, m = [R.zero], x
+        while m != R.zero:
+            members.append(m)
+            m = add[m][x]
+        orders.append(len(members))
+        cyclics.setdefault(mask_of(members), x)
+    return orders, cyclics
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS)
+def test_additive_group_matches_plain_walk(spec):
+    R = ring_from_text(spec)
+    group = additive_group(R)
+    orders, cyclics = plain_additive_group(R)
+    assert group.orders.tolist() == orders
+    assert group.cyclics == cyclics
+    assert group.exponent == math.lcm(*orders) == characteristic(R)
+    assert additive_group(R) is group  # read once per ring handle
+
+
+def test_additive_walk_refuses_a_non_group_table():
+    # x + y = max(x, y): 0 is neutral, but 1 + 1 = 1 never comes back to 0
+    add = [[max(x, y) for y in range(3)] for x in range(3)]
+    R = table_ring(add, [[0] * 3] * 3, name="maxplus", validate=False)
+    for read in (characteristic, additive_subgroups):
+        with pytest.raises(ValidationError) as e:
+            read(R)
+        assert str(e.value) == "maxplus: additive structure is not a group"
+
+
+@pytest.mark.parametrize("spec", ["GR(Z2, S3)", "Z4 x Z4 x Z4"])
+def test_additive_generators_run_once_per_ring(monkeypatch, spec):
+    # the axiom audit, the subspace basis and the ideals all read them
+    tables = []
+    real = srings.structures.generators
+
+    def counted(table, span=0):
+        tables.append(table)
+        return real(table, span)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("srings") and getattr(module, "generators", None) is real:
+            monkeypatch.setattr(module, "generators", counted)
+    R = ring_from_text(spec)
+    classify_report(spec, R)
+    assert sum(t is R.add_table for t in tables) == 1
 
 
 def test_quaternion_generator_relations():
@@ -189,6 +261,49 @@ def test_quotient_size_invariant():
     for members in ([0, 12], [0, 8, 16], [0, 6, 12, 18]):
         Q = quotient_ring(R, mask_of(members))
         assert Q.cardinality * len(members) == R.cardinality
+
+
+def plain_is_two_sided_ideal(R, mask):
+    members = elements_of(mask)
+    add, mul = R.add_table.tolist(), R.mul_table.tolist()
+    return (R.zero in members
+            and all(add[a][b] in members for a in members for b in members)
+            and all(R.neg(a) in members for a in members)
+            and all(mul[r][a] in members and mul[a][r] in members for r in R.elements() for a in members))
+
+
+def plain_quotient(R, mask):
+    """(reps, add, mul, one) of R/I with the least element of each coset."""
+    members = elements_of(mask)
+    add, mul = R.add_table.tolist(), R.mul_table.tolist()
+    rep = [min(add[x][i] for i in members) for x in R.elements()]
+    reps = sorted(set(rep))
+    pos = {r: i for i, r in enumerate(reps)}
+    tables = [[[pos[rep[t[a][b]]] for b in reps] for a in reps] for t in (add, mul)]
+    return reps, *tables, None if R.one is None else pos[rep[R.one]]
+
+
+@pytest.mark.parametrize("spec, subring", [
+    ("Z12", None), ("Z2 x Z4", None), ("M2(Z2)", None), ("GR(Z2, C2) x GR(Z2, C2)", None),
+    ("Z8", [0, 2, 4, 6]),  # no 1
+])
+def test_ideals_and_quotients_match_plain_loops(spec, subring):
+    R = ring_from_text(spec)
+    if subring:
+        R = subring_as_ring(R, mask_of(subring))
+    rnd = random.Random(spec)
+    masks = additive_subgroups(R) + [rnd.getrandbits(R.cardinality) | rnd.getrandbits(1) for _ in range(50)]
+    for mask in masks:
+        assert is_two_sided_ideal(R, mask) == plain_is_two_sided_ideal(R, mask), mask
+    two_sided = [mask for mask in masks if plain_is_two_sided_ideal(R, mask)]
+    assert set(two_sided) == set(ideals(R))
+    for mask in two_sided:
+        Q = quotient_ring(R, mask)
+        reps, add, mul, one = plain_quotient(R, mask)
+        assert (Q.meta["reps"], Q.add_table.tolist(), Q.mul_table.tolist(), Q.one) == (reps, add, mul, one)
+    if spec == "M2(Z2)":  # the left ideals that are not two-sided are refused
+        one_sided = set(ideals(R, "left")) - set(ideals(R))
+        assert one_sided and not any(is_two_sided_ideal(R, mask) for mask in one_sided)
 
 
 def test_axiom_audit_passes():
