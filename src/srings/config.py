@@ -25,11 +25,11 @@ class EngineLimits:
     # default sample count for ring_axiom_audit above the enumeration cap
     audit_samples: int = 10**5
     # lattice caps, each set so that a request just under it finishes in
-    # seconds (2 CPUs, Intel Xeon).  Both 4-variable checks scan k^4 node
-    # tuples; where they hold they took 1.9 s and 1.4 s on a 64-node chain,
-    # 9.7 s and 7.1 s at 100 nodes, and 28 s and 24 s on the 128-node
-    # Boolean lattice.  Both pentagon and diamond searches together take
-    # 0.4 s on a 150-node chain and 1.5 s on M2(Z3)'s 212 nodes, so the
+    # seconds (2 CPUs, Intel Xeon).  On a distributive lattice every check and
+    # search returns at once; elsewhere the 4-variable checks scan k^4 node
+    # tuples, and where they hold (M3 x a chain) took 1.5 s and 1.2 s at 65
+    # nodes, 9.4 s and 7.3 s at 100.  Both searches together take 0.35 s on
+    # N5 x a chain (150 nodes) and 0.7 s on M2(Z3)'s 212 nodes, so the
     # report bounds such a request: at 116 nodes (Z7 x Z7 x Z7) its 6,384
     # diamonds take ~6 s to write, and M2(Z3) would write 87,360.
     identity4_cap: int = 100

@@ -13,10 +13,13 @@ lower bounds, and it is the meet exactly when it lies above all of them;
 dually the join is the least-index common upper bound when it lies below
 all of them.  ``lattice_from_poset`` finds both one row of pairs at a time.
 
-Identity checks and the pentagon/diamond search share one scan: every node
-tuple of an arity, in lexicographic order, in fixed-size blocks of index
-arrays, each block tested by one array formula.  The first failing tuple of
-the first failing block is therefore the lexicographically least one.
+Identity checks decide first, by one O(k^2) test of whether a node valuation
+v has v[x] + v[y] = v[xy] + v[x + y] for every pair (Birkhoff): the height
+passes iff the lattice is modular, the count of join-irreducibles below a
+node iff it is distributive, and both 4-variable laws hold on distributive
+lattices, as in the two-element one.  Only a law the test cannot prove is
+scanned: every node tuple of its arity in lexicographic order, in blocks each
+tested by one array formula, so the first failing tuple is the least one.
 """
 
 from __future__ import annotations
@@ -125,6 +128,27 @@ def _ops(L: LatticeModel):
     return [lambda a, b, t=t: t.take(a * k + b, mode="clip") for t in flat]
 
 
+def _valuations(p: PosetModel) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's longest-chain height (in nodes) and count of join-irreducibles
+    at or below it, in node order: j is join-irreducible iff it has strict lower
+    bounds and all lie below the greatest-index one (see the module docstring)."""
+    k = len(p.nodes)
+    height, count, irreducible = np.zeros(k, np.int64), np.zeros(k, np.int64), np.zeros(k, bool)
+    for j in range(k):
+        below = p.leq[:j, j]
+        height[j] = height[:j][below].max(initial=0) + 1
+        irreducible[j] = below.any() and (below <= p.leq[:j, j - 1 - below[::-1].argmax()]).all()
+        count[j] = np.count_nonzero(below & irreducible[:j]) + irreducible[j]
+    return height, count
+
+
+def _proved(L: LatticeModel, law: str) -> bool:
+    """Whether a valuation proves the law: the height for ``modular``, the
+    join-irreducible count for any other, tested one table row at a time."""
+    v = _valuations(L.poset)[law != "modular"]
+    return all(np.array_equal(v[i] + v, v[L.meet[i]] + v[L.join[i]]) for i in range(len(v)))
+
+
 def check_identity(
     L: LatticeModel, identity: str, limits: EngineLimits = DEFAULT_LIMITS
 ) -> IdentityVerdict:
@@ -142,9 +166,9 @@ def check_identity(
       As coded it holds on every distributive lattice and on M3, and fails
       on the four-atom diamond M4 at four distinct atoms.
 
-    Each law is one array formula over a block of the lexicographic tuple
-    scan, so the counterexample is the least failing tuple in scan order.
-    The 4-variable checks refuse lattices above ``identity4_cap`` nodes.
+    Above ``identity4_cap`` nodes the 4-variable checks refuse.  A law the
+    valuation test proves holds; any other is one array formula over each
+    block of the tuple scan, so the counterexample is the least failing tuple.
     The source's own wording of the two 4-variable definitions is not in
     this repository, so these formulas are checked as written here.
     """
@@ -154,6 +178,8 @@ def check_identity(
     k = len(L.poset.nodes)
     if arity == 4 and k > limits.identity4_cap:
         raise CapacityError(f"{k} nodes above 4-variable identity cap {limits.identity4_cap}")
+    if _proved(L, identity):
+        return IdentityVerdict(identity, True, None)
     ops = _ops(L)
     for t in _tuples(k, arity):
         fails = ~law(*ops, *t)
@@ -206,13 +232,16 @@ def forbidden_sublattices(
     Exact search up to the configured node cap, over the same block scan
     of node triples as the identity checks; witnesses are sorted node
     tuples in canonical order.  A lattice can house several pentagons, so
-    claim checks compare against the whole list.
+    claim checks compare against the whole list.  A lattice the valuation
+    test proves modular (distributive) holds no pentagon (diamond).
     """
     k = len(L.poset.nodes)
     if k > limits.sublattice_cap:
         raise CapacityError(f"{k} nodes above sublattice search cap {limits.sublattice_cap}")
     if shape not in ("pentagon", "diamond"):
         raise ValueError(f"unknown shape {shape!r}")
+    if _proved(L, "modular" if shape == "pentagon" else "distributive"):
+        return []
     meet, join, leq = _ops(L)
     found = [np.empty((0, 5), dtype=np.int64)]
     for a, b, c in _tuples(k, 3):
@@ -240,17 +269,8 @@ def covering_relation(p: PosetModel) -> list[tuple[int, int]]:
 
 
 def chain_stats(p: PosetModel) -> tuple[int, bool]:
-    """Longest chain length (node count) and whether the order is total.
-
-    Every node below node j has a smaller index, so heights fill in node
-    order straight off the strict order."""
-    k = len(p.nodes)
-    height = np.ones(k, dtype=np.int64)
-    for j in range(k):
-        below = p.leq[:j, j]
-        if below.any():
-            height[j] = height[:j][below].max() + 1
-    return int(height.max(initial=0)), bool((p.leq | p.leq.T).all())
+    """Longest chain length (node count) and whether the order is total."""
+    return int(_valuations(p)[0].max(initial=0)), bool((p.leq | p.leq.T).all())
 
 
 def node_label(p: PosetModel, i: int, ring=None, max_members: int = 8) -> str:

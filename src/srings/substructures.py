@@ -254,28 +254,31 @@ def _internal_identity(R: RingHandle, members: list[int]) -> int | None:
     return None
 
 
+def _prime_order_subrings(R: RingHandle, limits: EngineLimits | None):
+    """Subrings whose nonzero members share one additive order m, with their
+    members and product table; m is then prime, as ra has order s if m = rs.  No
+    others are fields or domains: (ra)(sa) = 0, and coprime orders multiply to 0."""
+    orders = additive_group(R).orders.tolist()
+    spans = [mask_of(x for x, o in enumerate(orders) if o in (1, m)) for m in set(orders)]
+    for mask in subrings(R, limits):
+        if any(mask & ~span == 0 for span in spans):
+            members = elements_of(mask)
+            yield mask, members, R.mul_table[np.ix_(members, members)]
+
+
 def field_subsets(R: RingHandle, limits: EngineLimits | None = None) -> list[FieldSubset]:
     """Subrings that are commutative, have an internal identity e (e need not
     be the ring's 1) and whose nonzero members are invertible within."""
 
     def compute():
         out = []
-        for mask in subrings(R, limits):
-            if mask.bit_count() < 2:
-                continue
-            members = elements_of(mask)
-            sub = R.mul_table[np.ix_(members, members)]
+        for mask, members, sub in _prime_order_subrings(R, limits):
             if not np.array_equal(sub, sub.T):
                 continue
             e = _internal_identity(R, members)
             if e is None or e == R.zero:
                 continue
-            invertible = all(
-                any(int(sub[i, j]) == e for j in range(len(members)))
-                for i in range(len(members))
-                if members[i] != R.zero
-            )
-            if invertible:
+            if (sub == e).any(axis=1)[np.array(members) != R.zero].all():
                 out.append(FieldSubset(mask, e))
         return sorted(out, key=lambda f: f.mask)
 
@@ -283,18 +286,15 @@ def field_subsets(R: RingHandle, limits: EngineLimits | None = None) -> list[Fie
 
 
 def domain_subsets(R: RingHandle, limits: EngineLimits | None = None) -> list[int]:
-    """Subrings with no internal zero divisors (identity not required)."""
+    """Subrings with no internal zero divisors (identity not required): of the
+    n^2 products of n members, only the 2n - 1 in the zero row and column are 0."""
 
     def compute():
-        out = []
-        for mask in subrings(R, limits):
-            members = [x for x in elements_of(mask) if x != R.zero]
-            if members:
-                sub = R.mul_table[np.ix_(members, members)]
-                if (sub == R.zero).any():
-                    continue
-            out.append(mask)
-        return out
+        return [
+            mask
+            for mask, members, sub in _prime_order_subrings(R, limits)
+            if np.count_nonzero(sub == R.zero) == 2 * len(members) - 1
+        ]
 
     return _cached(R, "domain_subsets", compute)
 

@@ -3,14 +3,17 @@ sublattices, chain statistics and DOT export."""
 
 import itertools
 import operator
+import random
 from functools import reduce
 
 import pytest
 
+from srings import lattices
 from srings.bits import mask_of
 from srings.config import DEFAULT_LIMITS
 from srings.errors import CapacityError, NotALatticeError
 from srings.lattices import (
+    IDENTITIES,
     chain_stats,
     check_identity,
     covering_relation,
@@ -20,7 +23,8 @@ from srings.lattices import (
     poset_from_family,
 )
 from srings.rings import product_ring, zn
-from srings.substructures import ideals, s_ideals
+from srings.specparse import ring_from_text
+from srings.substructures import FAMILIES, ideals, s_ideals
 
 
 def n5_family():
@@ -466,3 +470,70 @@ def test_covering_relation_matches_definition():
             if i != j and leq[i][j] and not any(x not in (i, j) and leq[i][x] and leq[x][j] for x in range(k))
         ]
         assert covering_relation(poset_from_family(fam)) == covers, fam
+
+
+# The valuation test against the block scan it stands in front of: the
+# scan, forced by a valuation test that proves nothing, is the oracle.
+
+
+def random_moore_families(count, seed):
+    """Distinct seeded random lattices: up to 8 random subsets of at most 6
+    points, of a random density, closed under intersection, with the full set."""
+    rng = random.Random(seed)
+    fams = set()
+    while len(fams) < count:
+        points, density = rng.randint(1, 6), rng.random()
+        fam = {(1 << points) - 1}
+        for _ in range(rng.randint(1, 8)):
+            m = mask_of(i for i in range(points) if rng.random() < density)
+            fam |= {m} | {m & x for x in fam}
+        fams.add(tuple(sorted(fam)))
+    return sorted(fams)
+
+
+def _answers(L, identities):
+    return [check_identity(L, i) for i in identities], [
+        forbidden_sublattices(L, s) for s in ("pentagon", "diamond")
+    ]
+
+
+def test_valuation_test_matches_the_scan(monkeypatch):
+    fams = [n5_family(), m3_family(), m4_family(), eight_node_family(), dual_breaker_family()]
+    fams += lattice_zoo() + random_moore_families(600, seed=11)
+    seen = {"modular": 0, "distributive": 0, "neither": 0, "4-variable scanned": 0}
+    for fam in fams:
+        L = lattice_from_poset(poset_from_family(fam))
+        identities = list(IDENTITIES) if len(L.poset.nodes) <= 18 else ["modular", "distributive"]
+        with monkeypatch.context() as m:
+            m.setattr(lattices, "_proved", lambda *args: False)
+            scanned = _answers(L, identities)
+        assert _answers(L, identities) == scanned, fam
+        # both 2-variable tests are exact: they fail just where the scan fails
+        modular, distributive = (v.holds for v in scanned[0][:2])
+        assert lattices._proved(L, "modular") == modular, fam
+        assert lattices._proved(L, "distributive") == distributive, fam
+        seen["distributive" if distributive else "modular" if modular else "neither"] += 1
+        seen["4-variable scanned"] += len(identities) == 4 and not distributive
+    assert min(seen.values()) >= 10, seen
+
+
+def test_no_tuple_is_scanned_where_the_law_holds(monkeypatch):
+    def lattice_of(spec, family):
+        return lattice_from_poset(poset_from_family(FAMILIES[family](ring_from_text(spec), "I", "strict", True)))
+
+    subgroups = lattice_of("M2(Z3)", "additive_subgroups")
+    ideal_lattice = lattice_of("Z3 x Z12 x Z7", "ideals")
+    subring_lattice = lattice_of("GR(Z2, S3)", "subrings")
+    assert (len(subgroups.poset.nodes), len(ideal_lattice.poset.nodes), len(subring_lattice.poset.nodes)) == (212, 24, 174)
+
+    def refuse(k, arity):
+        raise AssertionError(f"scanned {k}^{arity} node tuples")
+
+    with monkeypatch.context() as m:
+        m.setattr(lattices, "_tuples", refuse)
+        assert check_identity(subgroups, "modular").holds
+        assert all(check_identity(ideal_lattice, i).holds for i in IDENTITIES)
+        assert _answers(ideal_lattice, [])[1] == [[], []]
+    # where the law fails, the scan still names the least counterexample
+    assert check_identity(subring_lattice, "modular").counterexample == (2, 23, 3)
+    assert check_identity(subring_lattice, "distributive").counterexample == (1, 6, 7)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from srings.bits import contains, elements_of, mask_of
@@ -29,6 +30,7 @@ from srings.substructures import (
     subrings,
     units_mask,
 )
+from test_rings import SMALL_SPECS
 
 
 def divisors(n):
@@ -252,6 +254,30 @@ def test_finite_domain_subsets_are_fields():
         for m in domain_subsets(R):
             if m.bit_count() >= 2:
                 assert m in fields
+
+
+# the test rings of at most 256 elements whose subring family takes 7 to 30 s
+# to enumerate are left out for time
+SLOW_SUBRINGS = {"M2(Z4)", "M2(Z2) x M2(Z2)", "M2(Z2 x Z2)", "M2(GR(Z2, C2))", "Q(Z4)"}
+
+
+@pytest.mark.parametrize("spec", [s for s in SMALL_SPECS if s not in SLOW_SUBRINGS])
+def test_field_and_domain_subsets_match_a_plain_filter(spec):
+    # the definitions applied to every subring, with no additive-order skip
+    R = ring_from_text(spec)
+    fields, domains = [], []
+    for mask in subrings(R):
+        members = elements_of(mask)
+        mul = R.mul_table[np.ix_(members, members)].tolist()
+        nonzero = [i for i, x in enumerate(members) if x != R.zero]
+        if all(mul[i][j] != R.zero for i in nonzero for j in nonzero):
+            domains.append(mask)
+        ones = [e for i, e in enumerate(members) if all(mul[i][j] == mul[j][i] == x for j, x in enumerate(members))]
+        commutative = all(mul[i][j] == mul[j][i] for i in range(len(members)) for j in range(i))
+        if commutative and ones and ones[0] != R.zero and all(ones[0] in mul[i] for i in nonzero):
+            fields.append((mask, ones[0]))
+    assert [(f.mask, f.identity) for f in field_subsets(R)] == fields
+    assert domain_subsets(R) == domains
 
 
 def test_s_subrings_z12():
