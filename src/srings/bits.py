@@ -45,6 +45,24 @@ def is_subset(a: int, b: int) -> bool:
     return a & ~b == 0
 
 
+def rows_of(masks: list[int], n: int) -> np.ndarray:
+    """Membership rows: a (len(masks), n) boolean array, row i set at masks[i]."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    return np.unpackbits(packed.reshape(-1, width), axis=1, count=n, bitorder="little").view(bool)
+
+
+def masks_of(rows: np.ndarray) -> list[int]:
+    """The mask of each boolean membership row; inverse of ``rows_of``."""
+    return [int.from_bytes(r.tobytes(), "little") for r in np.packbits(rows, axis=1, bitorder="little")]
+
+
+def within(inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """[i, j]: membership row i of inner lies within row j of outer (no
+    member of i outside j; a float32 count, exact below 2^24 columns)."""
+    return inner.astype(np.float32) @ (~outer).T.astype(np.float32) == 0
+
+
 def fingerprint(mask: int) -> str:
     """Hex encoding of the canonical bitset; stable across runs."""
     return format(mask, "x")

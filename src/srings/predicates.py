@@ -10,13 +10,12 @@ scan order: the first failing member, in the order the members are given.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import contains, elements_of
+from .bits import contains, elements_of, rows_of, within
 from .errors import CapacityError
 from .rings import _TABLE_BLOCK, RingHandle, additive_group, is_prime, subring_as_ring
 from .structures import is_s_semigroup
@@ -221,15 +220,20 @@ def s_localized_law(
         return PredicateVerdict(name, False, mode=mode)
     if placement == "subring_of_s_subring":
         sub_family = [b for b in subrings(R) if b.bit_count() >= 2]
-        # a subring lies in many S-subrings; its verdict does not depend on which
-        verdict = functools.cache(lambda b: law_holds_on(R, elements_of(b), law, p))
-        for v in s_subs:
-            for b in sub_family:
-                if b & ~v.mask:
-                    continue
-                holds, data = verdict(b)
-                if holds:
-                    return PredicateVerdict(name, True, witness=(v.mask, b, data), mode=mode)
+        sub_rows = rows_of(sub_family, R.cardinality)
+        # a subring lies in many S-subrings; its verdict does not depend on which,
+        # so each block tests only the subrings not yet found to fail
+        failed = np.zeros(len(sub_family), dtype=bool)
+        step = max(1, _TABLE_BLOCK // R.cardinality)
+        for start in range(0, len(s_subs), step):
+            block, live = s_subs[start : start + step], np.flatnonzero(~failed)
+            inside = within(sub_rows[live], rows_of([v.mask for v in block], R.cardinality))  # (subring, S-subring)
+            for j, v in enumerate(block):
+                for i in live[inside[:, j] & ~failed[live]].tolist():
+                    holds, data = law_holds_on(R, elements_of(sub_family[i]), law, p)
+                    if holds:
+                        return PredicateVerdict(name, True, witness=(v.mask, sub_family[i], data), mode=mode)
+                    failed[i] = True
         return PredicateVerdict(name, False, mode=mode)
     raise ValueError(f"unknown placement {placement!r}")
 

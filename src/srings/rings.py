@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bits import contains, elements_of
+from .bits import contains, elements_of, masks_of
 from .config import DEFAULT_LIMITS, EngineLimits
 from .errors import CapacityError, ValidationError
 from .structures import CayleyStructure, associative_over, associativity_witness, generators
@@ -645,8 +645,8 @@ def additive_group(R: RingHandle) -> AdditiveGroup:
         else:
             raise ValidationError(f"{R.name}: additive structure is not a group")
         cyclics: dict[int, int] = {}
-        for x, row in enumerate(np.packbits(multiples, axis=1, bitorder="little")):
-            cyclics.setdefault(int.from_bytes(row.tobytes(), "little"), x)
+        for x, mask in enumerate(masks_of(multiples)):
+            cyclics.setdefault(mask, x)
         return AdditiveGroup(orders, math.lcm(*orders.tolist()), cyclics)
 
     return _cached(R, "additive_group", walk)

@@ -1,15 +1,18 @@
 """Enumeration of subrings, ideals, field/domain subsets and S-substructures.
 
 Families are lists of bitmasks in canonical (ascending mask) order, each
-cached per ring handle.  Additive subgroups are every join of the cyclic
-subgroups that ``rings.additive_group`` reads off (R,+), grown by
-``bits.grow_family``; elementary abelian additive groups switch to subspace
-enumeration in echelon form over the basis ``rings.additive_generators``,
-which is far faster there.  Subrings, ideals and field/domain subsets filter
-the additive subgroups.  A generated ideal is read off the cached ideal
-family rather than closed again.
+cached per ring handle with an array of additive generators, one row per
+member.  Additive subgroups are every join of the cyclic subgroups that
+``rings.additive_group`` reads off (R,+), grown by ``bits.grow_family``;
+when (R,+) is elementary abelian they are its subspaces over the basis
+``rings.additive_generators``, built as array blocks of reduced echelon
+forms (one rank and pivot set each), spans as one matrix product.  Subrings,
+ideals of each side and S-pseudo ideals come out of one absorption filter,
+``_absorbing``, which gathers every generator product of a block of members
+from ``mul_table`` at once; field/domain subsets filter the subrings, and
+S-substructures pick their least certificate off membership rows.  A
+generated ideal is read off the cached ideal family rather than closed again.
 """
-
 from __future__ import annotations
 
 import functools
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import contains, elements_of, grow_family, mask_of
+from .bits import elements_of, grow_family, mask_of, masks_of, rows_of, within
 from .config import DEFAULT_LIMITS, EngineLimits
 from .errors import CapacityError
 from .rings import RingHandle, _cached, additive_generators, additive_group, is_prime
@@ -53,60 +56,62 @@ class IdealAnnotation:
 # -- additive subgroup enumeration ------------------------------------------
 
 
-def _vector_space_data(R: RingHandle, p: int):
-    """Basis of (R,+) as an F_p space, and the element at each coordinate
-    vector: the sum of its coefficients' multiples of the basis."""
+# cells per array block (forms times span, or members times columns): a few
+# MB of temporaries whatever the family size
+_BLOCK = 1 << 18
+
+
+def _gaussian_binomial(d: int, k: int, p: int) -> int:
+    """The number of k-dimensional subspaces of F_p^d."""
+    return math.prod(p ** (d - i) - 1 for i in range(k)) // math.prod(p ** (i + 1) - 1 for i in range(k))
+
+
+def _subspaces(R: RingHandle, p: int, limits: EngineLimits):
+    """Every subspace of (R,+) as an F_p space over the basis
+    ``additive_generators``, as (masks, echelon rows as element codes), one
+    block of reduced echelon forms (one rank and pivot set) at a time."""
     add, basis = R.add_table, additive_generators(R)
-    multiples = [np.full(len(basis), R.zero)]  # row c: c times each basis element
+    d = len(basis)
+    if sum(_gaussian_binomial(d, k, p) for k in range(d + 1)) > limits.family_cap:
+        raise CapacityError("subspace family cap exceeded", partial_count=limits.family_cap)
+    multiples = [np.full(d, R.zero)]  # row c: c times each basis element
     for _ in range(p - 1):
         multiples.append(add[multiples[-1], basis])
     multiples = np.array(multiples)
-    coords = np.indices((p,) * len(basis)).reshape(len(basis), -1)  # column j: the j-th vector
-    codes = np.full(coords.shape[1], R.zero)
+    coords = np.indices((p,) * d).reshape(d, -1)  # column j: the j-th vector in C order
+    code_of = np.full(coords.shape[1], R.zero)  # element at each coordinate vector
     for i, c in enumerate(coords):
-        codes = add[codes, multiples[c, i]]
-    return basis, dict(zip(map(tuple, coords.T.tolist()), codes.tolist()))
-
-
-def _enumerate_subspaces(p: int, d: int, elem_of_vec, limits: EngineLimits):
-    """All subspaces of F_p^d via reduced row echelon forms; yields (mask, gens)."""
-    count = 0
+        code_of = add[code_of, multiples[c, i]]
+    place = p ** np.arange(d - 1, -1, -1)  # coordinate vector -> its index in code_of
+    masks, gens = [], []
     for k in range(d + 1):
+        coeffs = np.array(list(itertools.product(range(p), repeat=k)), dtype=np.int64).reshape(p**k, k)
+        step = max(1, _BLOCK // (len(coeffs) * d))
         for pivots in itertools.combinations(range(d), k):
-            free_pos = [
-                (i, j)
-                for i in range(k)
-                for j in range(pivots[i] + 1, d)
-                if j not in pivots
-            ]
-            for fill in itertools.product(range(p), repeat=len(free_pos)):
-                rows = [[0] * d for _ in range(k)]
-                for i in range(k):
-                    rows[i][pivots[i]] = 1
-                for (i, j), v in zip(free_pos, fill):
-                    rows[i][j] = v
-                vecs = [tuple(r) for r in rows]
-                span = {tuple([0] * d)}
-                for v in vecs:
-                    cur = list(span)
-                    for c in range(1, p):
-                        cv = tuple((c * x) % p for x in v)
-                        for s in cur:
-                            span.add(tuple((a + b) % p for a, b in zip(s, cv)))
-                if count >= limits.family_cap:
-                    raise CapacityError("subspace family cap exceeded", partial_count=count)
-                count += 1
-                yield mask_of(elem_of_vec[v] for v in span), [elem_of_vec[v] for v in vecs]
+            free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, d) if j not in pivots]
+            fi, fj = np.array(free, dtype=np.int64).reshape(-1, 2).T
+            for start in range(0, p ** len(free), step):
+                fills = np.arange(start, min(start + step, p ** len(free)))
+                rows = np.zeros((len(fills), k, d), dtype=np.int64)
+                rows[:, np.arange(k), list(pivots)] = 1
+                rows[:, fi, fj] = fills[:, None] // p ** np.arange(len(free))[::-1] % p
+                span = code_of[(coeffs @ rows % p) @ place]  # (forms, p^k) members
+                member = np.zeros((len(fills), R.cardinality), dtype=bool)
+                np.put_along_axis(member, span, True, axis=1)
+                masks += masks_of(member)
+                gens.append(np.pad(code_of[rows @ place], ((0, 0), (0, d - k)), constant_values=R.zero))
+    order = sorted(range(len(masks)), key=masks.__getitem__)
+    return [masks[i] for i in order], np.concatenate(gens)[order]
 
 
 def additive_subgroups(
     R: RingHandle, limits: EngineLimits | None = None, with_generators: bool = False
 ):
-    """All subsets closed under + and negation containing 0."""
-    family, gens_by_mask = _cached(
-        R, "additive_subgroups", lambda: _additive_subgroups(R, limits or R.limits)
-    )
-    return (family, gens_by_mask) if with_generators else family
+    """All subsets closed under + and negation containing 0; with_generators
+    adds an array whose row i is an additive generating set of member i,
+    padded with the zero code."""
+    family, gens = _cached(R, "additive_subgroups", lambda: _additive_subgroups(R, limits or R.limits))
+    return (family, gens) if with_generators else family
 
 
 def _additive_subgroups(R: RingHandle, limits: EngineLimits):
@@ -114,9 +119,7 @@ def _additive_subgroups(R: RingHandle, limits: EngineLimits):
         raise CapacityError(f"{R.name}: not enumerable")
     group = additive_group(R)
     if is_prime(group.exponent):  # (R,+) is elementary abelian
-        basis, elem_of_vec = _vector_space_data(R, group.exponent)
-        gens_by_mask = dict(_enumerate_subspaces(group.exponent, len(basis), elem_of_vec, limits))
-        return sorted(gens_by_mask), gens_by_mask
+        return _subspaces(R, group.exponent, limits)
     # (R,+) is abelian: every subgroup is a join (sumset) of cyclic subgroups
     add = R.add_table
     members = functools.cache(elements_of)
@@ -126,48 +129,46 @@ def _additive_subgroups(R: RingHandle, limits: EngineLimits):
         limits.family_cap,
         "additive subgroup",
     )
-    return sorted(gens_by_mask), gens_by_mask
+    family = sorted(gens_by_mask)
+    width = max(map(len, gens_by_mask.values()))
+    return family, np.array([gens_by_mask[m] + [R.zero] * (width - len(gens_by_mask[m])) for m in family])
 
 
 # -- subrings and ideals ------------------------------------------------------
 
 
+def _absorbing(R: RingHandle, left, right, limits: EngineLimits | None) -> list[int]:
+    """The additive subgroups S with a.g and g.b in S for every generator g
+    of S, a in left and b in right; left None stands for S's own generators,
+    which makes S closed under multiplication.  By bilinearity that is
+    left.S and S.right within S.  Members are checked in row blocks: each
+    block's products are one gather from ``mul_table``."""
+    family, gens = additive_subgroups(R, limits, with_generators=True)
+    mul, n, right = R.mul_table, R.cardinality, np.array(right, dtype=np.int64)
+    width = gens.shape[1] * ((gens.shape[1] if left is None else len(left)) + len(right))
+    step = max(1, _BLOCK // (n + width))
+    out = []
+    for start in range(0, len(family), step):
+        masks, g = family[start : start + step], gens[start : start + step]
+        a = g if left is None else np.array(left, dtype=np.int64)[None, :]  # (member or 1, multiplier)
+        products = [mul[a[:, :, None], g[:, None, :]], mul[g[:, :, None], right[None, None, :]]]
+        products = np.concatenate([x.reshape(len(g), -1) for x in products], axis=1)
+        out += itertools.compress(masks, np.take_along_axis(rows_of(masks, n), products, axis=1).all(axis=1))
+    return out
+
+
+def _sides(side: str, multipliers: list[int]):
+    """(left, right) multipliers of ``_absorbing`` for one sidedness."""
+    return {"left": (multipliers, []), "right": ([], multipliers), "two_sided": (multipliers, multipliers)}[side]
+
+
 def subrings(R: RingHandle, limits: EngineLimits | None = None) -> list[int]:
     """Additive subgroups closed under multiplication; 1 not required."""
-
-    def compute():
-        family, gens = additive_subgroups(R, limits, with_generators=True)
-        mul = R.mul_table
-        out = []
-        for mask in family:
-            g = gens[mask] or [R.zero]
-            # bilinearity: closure on an additive generating set suffices
-            if all(contains(mask, int(v)) for v in mul[np.ix_(g, g)].ravel()):
-                out.append(mask)
-        return out
-
-    return _cached(R, "subrings", compute)
+    return _cached(R, "subrings", lambda: _absorbing(R, None, [], limits))
 
 
 def ideals(R: RingHandle, side: str = "two_sided", limits: EngineLimits | None = None) -> list[int]:
-    def compute():
-        family, gens = additive_subgroups(R, limits, with_generators=True)
-        mul = R.mul_table
-        ring_gens = additive_generators(R) or [R.zero]
-        out = []
-        for mask in family:
-            g = gens[mask] or [R.zero]
-            left_ok = all(contains(mask, int(v)) for v in mul[np.ix_(ring_gens, g)].ravel())
-            right_ok = all(contains(mask, int(v)) for v in mul[np.ix_(g, ring_gens)].ravel())
-            if side == "left" and left_ok:
-                out.append(mask)
-            elif side == "right" and right_ok:
-                out.append(mask)
-            elif side == "two_sided" and left_ok and right_ok:
-                out.append(mask)
-        return out
-
-    return _cached(R, ("ideals", side), compute)
+    return _cached(R, ("ideals", side), lambda: _absorbing(R, *_sides(side, additive_generators(R)), limits))
 
 
 def ideal_generated(R: RingHandle, gens, side: str = "two_sided") -> int:
@@ -310,16 +311,27 @@ def _certificates(R, level: str, limits) -> list[tuple[int, int | None]]:
     raise ValueError("level must be 'I' or 'II'")
 
 
-def _qualifies(cert_mask: int, subset: int, full: int, mode: str) -> bool:
-    if cert_mask & ~subset:
-        return False
-    if cert_mask == full:
-        return False
-    if mode == "strict":
-        return cert_mask != subset
-    if mode == "lax":
-        return True
-    raise ValueError("mode must be 'strict' or 'lax'")
+def _certified(R: RingHandle, masks: list[int], certs, mode: str):
+    """(mask, certificate, identity) for each of masks that holds a
+    certificate other than R (in strict mode, other than the mask too), with
+    the least one by (size, mask); containment is read off membership rows."""
+    if mode not in ("strict", "lax"):
+        raise ValueError("mode must be 'strict' or 'lax'")
+    n, full = R.cardinality, (1 << R.cardinality) - 1
+    certs = sorted((c for c in certs if c[0] != full), key=lambda c: (c[0].bit_count(), c[0]))
+    if not certs:
+        return []
+    cert_rows, sizes = rows_of([c for c, _ in certs], n), np.array([[c.bit_count()] for c, _ in certs])
+    out = []
+    step = max(1, _BLOCK // (n + len(certs)))
+    for start in range(0, len(masks), step):
+        block = masks[start : start + step]
+        rows = rows_of(block, n)
+        ok = within(cert_rows, rows)  # (certificate, member)
+        if mode == "strict":
+            ok &= sizes < rows.sum(axis=1)
+        out += [(m, *certs[i]) for m, i, hit in zip(block, ok.argmax(axis=0).tolist(), ok.any(axis=0).tolist()) if hit]
+    return out
 
 
 def s_subrings(
@@ -328,15 +340,8 @@ def s_subrings(
     """Proper subrings carrying a field (level I) or domain (level II) subset."""
     certs = _certificates(R, level, limits)  # refuses a ring above the enumeration cap
     full = (1 << R.cardinality) - 1
-    out = []
-    for mask in subrings(R, limits):
-        if mask == full:
-            continue
-        found = [c for c in certs if _qualifies(c[0], mask, full, mode)]
-        if found:
-            best = min(found, key=lambda c: (c[0].bit_count(), c[0]))
-            out.append(SubstructureVerdict(mask, "s_subring", level, mode, best[0], best[1]))
-    return sorted(out, key=lambda v: v.mask)
+    masks = [m for m in subrings(R, limits) if m != full]
+    return [SubstructureVerdict(m, "s_subring", level, mode, c, e) for m, c, e in _certified(R, masks, certs, mode)]
 
 
 def s_ideals(
@@ -352,14 +357,8 @@ def s_ideals(
     certs = _certificates(R, level, limits)  # refuses a ring above the enumeration cap
     full = (1 << R.cardinality) - 1
     zero_mask = 1 << R.zero
-    out = []
-    for mask in ideals(R, side, limits):
-        if mask in (full, zero_mask):
-            continue
-        found = [c for c in certs if _qualifies(c[0], mask, full, mode)]
-        if found:
-            best = min(found, key=lambda c: (c[0].bit_count(), c[0]))
-            out.append(SubstructureVerdict(mask, "s_ideal", level, mode, best[0], best[1]))
+    masks = [m for m in ideals(R, side, limits) if m not in (full, zero_mask)]
+    out = [SubstructureVerdict(m, "s_ideal", level, mode, c, e) for m, c, e in _certified(R, masks, certs, mode)]
     if include_trivial:
         out.append(SubstructureVerdict(zero_mask, "s_ideal", level, mode, None, None, trivial=True))
         out.append(SubstructureVerdict(full, "s_ideal", level, mode, None, None, trivial=True))
@@ -386,10 +385,8 @@ def has_s_ring(R: RingHandle, level: str = "I", mode: str = "strict", limits=Non
     """Ring-level S-property: a qualifying certificate inside R itself."""
     certs = _certificates(R, level, limits)  # refuses a ring above the enumeration cap
     full = (1 << R.cardinality) - 1
-    for cert, ident in certs:
-        if _qualifies(cert, full, full, "lax"):  # cert != R is the only constraint
-            return True, (cert, ident)
-    return False, None
+    found = next((c for c in certs if c[0] != full), None)  # a certificate other than R
+    return found is not None, found
 
 
 def s_pseudo_ideals(
@@ -400,23 +397,9 @@ def s_pseudo_ideals(
     fields = {f.mask for f in field_subsets(R, limits)}
     if field_mask not in fields:
         raise ValueError("related subset is not a field subset of the ring")
-    ok, _ = has_s_ring(R, "I", "strict", limits)
-    ok_lax, _ = has_s_ring(R, "I", "lax", limits)
-    if not (ok or ok_lax):
+    if not has_s_ring(R, "I", "lax", limits)[0]:  # the ring-level property ignores the mode
         raise ValueError(f"{R.name}: S-pseudo ideals are defined only on rings with a field subset")
-    b_members = elements_of(field_mask)
-    family, gens = additive_subgroups(R, limits, with_generators=True)
-    mul = R.mul_table
-    out = []
-    for mask in family:
-        g = gens[mask] or [R.zero]
-        right_ok = all(contains(mask, int(v)) for v in mul[np.ix_(g, b_members)].ravel())
-        left_ok = all(contains(mask, int(v)) for v in mul[np.ix_(b_members, g)].ravel())
-        if (side == "right" and right_ok) or (side == "left" and left_ok) or (
-            side == "two_sided" and left_ok and right_ok
-        ):
-            out.append(mask)
-    return out
+    return _absorbing(R, *_sides(side, elements_of(field_mask)), limits)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 
 import srings.rings
 import srings.specparse
+import srings.substructures
 from srings.cli import main
 from srings.predicates import PREDICATES
 from srings.rings import RingHandle
@@ -60,6 +61,17 @@ def test_every_predicate_on_a_ring_above_the_cap(capsys, monkeypatch):
             assert out == "" and err.startswith("capacity: M9(Z9): ") and err.count("\n") == 1, pid
         else:
             assert err == "" and [v["id"] for v in json.loads(out)["predicates"]] == [pid]
+
+
+def test_subspace_family_refused_before_any_subspace_is_built(capsys, monkeypatch):
+    # Z2^9 has 8,283,458 subspaces (sum of Gaussian binomials), above family_cap
+    def build(*args):
+        raise AssertionError("a subspace block was built")
+
+    monkeypatch.setattr(srings.substructures, "masks_of", build)
+    argv = ["substructures", " x ".join(["Z2"] * 9), "--kind", "additive-subgroups"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "capacity: subspace family cap exceeded\n")
 
 
 def test_sublattice_search_cap(capsys):
