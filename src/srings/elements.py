@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bits import contains, elements_of
+from .bits import contains, elements_of, rows_of, within
 from .errors import CapacityError
 from .rings import _TABLE_BLOCK, RingHandle, _cached
 from .substructures import field_subsets, ideal_generated, units_mask
@@ -231,6 +231,20 @@ def classify_zero_divisors(R: RingHandle):
 # -- idempotents ------------------------------------------------------------------
 
 
+def _idempotent_scan(R: RingHandle):
+    """Over every a: a^2, the idempotents outside {0, 1}, the candidates (a^2
+    such an idempotent x, a outside {x, 0, 1}), xa, ax, and the first of the
+    four clauses each a meets (0 for none)."""
+    mul = R.mul_table
+    idx = np.arange(R.cardinality)
+    sq = np.diagonal(mul)  # a^2
+    trivial = (idx == R.zero) | (idx == R.one)
+    idem = np.flatnonzero(~trivial & (sq == idx))
+    cand = ~trivial & (sq != idx) & np.isin(sq, idem)
+    xa, ax = mul[sq, idx], mul[idx, sq]
+    return sq, idem, cand, xa, ax, np.select([xa == idx, ax == idx, ax == sq, xa == sq], [1, 2, 3, 4], 0)
+
+
 @_once_per_ring
 def classify_idempotents(R: RingHandle):
     """Idempotents (0 and 1 excluded), S-idempotents and the co-idempotent map.
@@ -242,15 +256,7 @@ def classify_idempotents(R: RingHandle):
     its x as a^2, so both searches are one pass over the diagonal.
     """
     _ensure_enumerable(R)
-    mul = R.mul_table
-    idx = np.arange(R.cardinality)
-    sq = np.diagonal(mul)  # a^2
-    trivial = (idx == R.zero) | (idx == R.one)
-    idem = np.flatnonzero(~trivial & (sq == idx))
-    # candidates a: a^2 a nontrivial idempotent x, a outside {x, 0, 1}
-    cand = ~trivial & (sq != idx) & np.isin(sq, idem)
-    xa, ax = mul[sq, idx], mul[idx, sq]
-    clause = np.select([xa == idx, ax == idx, ax == sq, xa == sq], [1, 2, 3, 4], 0)
+    sq, idem, cand, xa, ax, clause = _idempotent_scan(R)
     a = np.flatnonzero(cand & (clause > 0))
     s_idem, first = np.unique(sq[a], return_index=True)
     witnesses = {
@@ -258,9 +264,23 @@ def classify_idempotents(R: RingHandle):
         for x, w, k in zip(s_idem.tolist(), a[first].tolist(), clause[a[first]].tolist())
     }
     co_map: dict[int, list[int]] = {}
-    for y in np.flatnonzero(cand & ((ax == sq) | (xa == idx))).tolist():
+    for y in np.flatnonzero(cand & ((ax == sq) | (xa == np.arange(R.cardinality)))).tolist():
         co_map.setdefault(int(sq[y]), []).append(y)
     return idem.tolist(), s_idem.tolist(), witnesses, dict(sorted(co_map.items()))
+
+
+def s_idempotents_within(R: RingHandle, masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The S-idempotents classify_idempotents finds in each subring on masks
+    (with the subring's own identity e), read off R's own scan: (xs, found),
+    found[i, j] set when xs[j] is one in masks[i].  A candidate a of such a
+    subring is a candidate of R with a^2 != e, as R's 1 lies in it only as e."""
+    sq, _, cand, _, _, clause = _idempotent_scan(R)
+    a = np.flatnonzero(cand & (clause > 0))
+    xs, col = np.unique(sq[a], return_inverse=True)
+    mul, rows, idx = R.mul_table, rows_of(masks, R.cardinality), np.arange(R.cardinality)
+    witnessed = rows[:, a].astype(np.float32) @ (col[:, None] == np.arange(len(xs))).astype(np.float32) > 0
+    identity = rows[:, xs] & within(rows, (mul[xs] == idx) & (mul[:, xs].T == idx))
+    return xs, witnessed & ~identity
 
 
 # -- nilpotents --------------------------------------------------------------------

@@ -19,7 +19,9 @@ from .bits import contains, elements_of, rows_of, within
 from .errors import CapacityError
 from .rings import _TABLE_BLOCK, RingHandle, additive_group, is_prime, subring_as_ring
 from .structures import is_s_semigroup
-from .elements import classify_idempotents, classify_nilpotents, classify_zero_divisors, power_sequences
+from .elements import (
+    classify_idempotents, classify_nilpotents, classify_zero_divisors, power_sequences, s_idempotents_within,
+)
 from .substructures import (
     domain_subsets,
     field_subsets,
@@ -297,20 +299,17 @@ def chain_ring_flags(R: RingHandle, mode: str = "strict") -> list[PredicateVerdi
 def dispotent_flags(R: RingHandle, mode: str = "strict") -> list[PredicateVerdict]:
     idem, _, _, _ = classify_idempotents(R)
     disp = PredicateVerdict("dispotent", len(idem) == 2, witness=idem if len(idem) == 2 else None)
-    s_disp = None
     s_subs = s_subrings(R, "I", mode)
-    if s_subs:
-        s_disp = False
-        wit = None
-        for v in s_subs:
-            A = subring_as_ring(R, v.mask)
-            _, s_idem_a, _, _ = classify_idempotents(A)
-            if len(s_idem_a) == 2:
-                s_disp = True
-                wit = v.mask
-                break
-        return [disp, PredicateVerdict("s_dispotent", s_disp, witness=wit, mode=mode)]
-    return [disp, PredicateVerdict("s_dispotent", None, detail="no S-subring", mode=mode)]
+    if not s_subs:
+        return [disp, PredicateVerdict("s_dispotent", None, detail="no S-subring", mode=mode)]
+    step = max(1, _TABLE_BLOCK // R.cardinality)
+    for start in range(0, len(s_subs), step):
+        block = s_subs[start : start + step]
+        two = s_idempotents_within(R, [v.mask for v in block])[1].sum(axis=1) == 2
+        if two.any():  # the first S-subring with exactly two S-idempotents
+            wit = block[int(two.argmax())].mask
+            return [disp, PredicateVerdict("s_dispotent", True, witness=wit, mode=mode)]
+    return [disp, PredicateVerdict("s_dispotent", False, mode=mode)]
 
 
 # -- group / semigroup ring flags -------------------------------------------------------

@@ -8,14 +8,15 @@ zero element always has code 0.
 Each construction defines its arithmetic once, as a :class:`Kernel` of batch
 ``add``/``mul``/``neg`` functions over arrays of element codes.  A kernel
 splits codes into mixed-radix digits, applies the component rings' own batch
-operations (their op tables, or their own kernels when they have none) and
-joins the digits again.  Everything else is that kernel evaluated on other
-arrays: a dense op table is the kernel over the full grid, filled in row
-blocks; a scalar ``add``/``mul``/``neg`` on a ring without tables is the
-kernel on length-1 arrays; the axiom audit of a ring above the enumeration
-cap is one batched call on random triples.  Every other ring gets an exact
-audit, over additive generators.  Codes are int64 below 2^63 and Python
-ints (dtype object) from there on, so no cardinality overflows.
+operations (one flat gather from an op table, cell a * n + b, or their own
+kernels when they have no tables) and joins the digits again.  Everything
+else is that kernel evaluated on other arrays: a dense op table is the kernel
+over the full grid, filled in row blocks; a scalar ``add``/``mul``/``neg`` on
+a ring without tables is the kernel on length-1 arrays; the axiom audit of a
+ring above the enumeration cap is one batched call on random triples.  Every
+other ring gets an exact audit, over additive generators.  Codes are int64
+below 2^63 and Python ints (dtype object) from there on, so no cardinality
+overflows.
 
 (R,+) is read once per ring handle and cached: :func:`additive_generators`
 is its greedy generating set, and :func:`additive_group` one walk x, 2x, 3x,
@@ -131,15 +132,18 @@ class RingHandle:
         return self._neg_vec
 
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a + b elementwise over arrays of codes."""
+        """a + b elementwise over broadcastable arrays of codes in [0, n): a
+        table reads cell (a, b) as the flat gather a * n + b, which is silently
+        the wrong cell for a code outside that range."""
         if self._add_table is not None:
-            return self._add_table[a, b]
+            return self._add_table.take(a * self.cardinality + b)
         return self.kernel.add(a, b)
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a * b elementwise over arrays of codes."""
+        """a * b elementwise over broadcastable arrays of codes in [0, n), read
+        as one flat gather like vadd."""
         if self._mul_table is not None:
-            return self._mul_table[a, b]
+            return self._mul_table.take(a * self.cardinality + b)
         return self.kernel.mul(a, b)
 
     def vneg(self, a: np.ndarray) -> np.ndarray:
@@ -548,8 +552,8 @@ def table_ring(
     limits: EngineLimits = DEFAULT_LIMITS, validate: bool = True,
     labeler: Callable[[int], str] | None = None,
 ) -> RingHandle:
-    add = np.asarray(add_rows, dtype=np.int32)
-    mul = np.asarray(mul_rows, dtype=np.int32)
+    add = np.ascontiguousarray(add_rows, dtype=np.int32)
+    mul = np.ascontiguousarray(mul_rows, dtype=np.int32)
     n = add.shape[0]
     if one is None:
         idx = np.arange(n)
@@ -692,46 +696,31 @@ class HyperPairSet:
     is_subring: bool
 
 
+def _hyper_pairs(n: int, q: int | np.ndarray, op_kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Both coordinates of the pairs (t, t op q) over every t = x op y in Z_n;
+    a column of shifts q gives one row of second coordinates per shift."""
+    r = np.arange(n)
+    if op_kind == "additive":
+        return r, (r + q) % n  # every t is t + 0
+    t = np.unique(np.multiply.outer(r, r) % n)
+    return t, t * q % n
+
+
 def hyperring(n: int, q: int, op_kind: str) -> HyperPairSet:
     if not 0 <= q < n:
         raise ValueError("shift q must satisfy 0 <= q < n")
     if op_kind not in ("additive", "multiplicative"):
         raise ValueError("op_kind must be additive or multiplicative")
-    pairs = set()
-    for x in range(n):
-        for y in range(n):
-            if op_kind == "additive":
-                t = (x + y) % n
-                pairs.add((t, (t + q) % n))
-            else:
-                t = (x * y) % n
-                pairs.add((t, (t * q) % n))
-    frozen = frozenset(pairs)
-
-    def member(p):
-        return p in frozen
-
-    closed = True
-    for a in frozen:
-        for b in frozen:
-            diff = ((a[0] - b[0]) % n, (a[1] - b[1]) % n)
-            prod = ((a[0] * b[0]) % n, (a[1] * b[1]) % n)
-            if not member(diff) or not member(prod):
-                closed = False
-                break
-        if not closed:
-            break
-    return HyperPairSet(n, q, op_kind, frozen, closed)
+    t, u = _hyper_pairs(n, q, op_kind)
+    inside = np.zeros((n, n), dtype=bool)
+    inside[t, u] = True
+    # closed under componentwise differences and products of every two pairs
+    closed = all(inside[op(t[:, None], t) % n, op(u[:, None], u) % n].all() for op in (np.subtract, np.multiply))
+    return HyperPairSet(n, q, op_kind, frozenset(zip(t.tolist(), u.tolist())), closed)
 
 
 def hyperring_family_partition(n: int, op_kind: str) -> tuple[bool, bool]:
     """(pairwise disjoint, union covers Z_n x Z_n) over all shifts q."""
-    seen: dict[tuple[int, int], int] = {}
-    disjoint = True
-    for q in range(n):
-        for p in hyperring(n, q, op_kind).pairs:
-            if p in seen and seen[p] != q:
-                disjoint = False
-            seen[p] = q
-    covers = len(seen) == n * n
-    return disjoint, covers
+    t, u = _hyper_pairs(n, np.arange(n)[:, None], op_kind)
+    seen = np.unique(t * n + u)  # one pair per (q, t), so repeats are shared pairs
+    return len(seen) == u.size, len(seen) == n * n

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from srings.rings import _audit_sampled, ring_axiom_audit, semigroup_ring, table_ring, zn
+from srings.rings import _audit_sampled, matrix_ring, ring_axiom_audit, semigroup_ring, table_ring, zn
 from srings.structures import CayleyStructure
 from srings.specparse import (
     GroupAtom,
@@ -271,6 +271,48 @@ def test_batched_audit_reports_first_failing_triple():
     assert found and found == scalar_audit(bad, 2000, 0)
     assert {axiom for axiom, _ in found} <= {
         "multiplicative-associativity", "left-distributivity", "right-distributivity"}
+
+
+def test_matrix_kernel_over_a_corrupted_table_matches_plain_products():
+    # M3 over Z4 with 2 * 3 corrupted: 4^9 elements, so the audit is sampled.
+    # The reference reads the base tables as lists, with no batch op.
+    base = build_ring(ZnSpec(4))
+    mul = base.mul_table.copy()
+    mul[2, 3] = 1
+    bad = table_ring(base.add_table.copy(), mul, name="corrupted", validate=False)
+    R = matrix_ring(bad, 3, validate=False)
+    add_t, mul_t, rad = bad.add_table.tolist(), mul.tolist(), [4] * 9
+
+    def add(x, y):
+        return undigits([add_t[a][b] for a, b in zip(digits(x, rad), digits(y, rad))], rad)
+
+    def times(x, y):
+        A, B = digits(x, rad), digits(y, rad)
+        out = []
+        for r, c in itertools.product(range(3), repeat=2):
+            acc = 0
+            for l in range(3):
+                acc = add_t[acc][mul_t[A[3 * r + l]][B[3 * l + c]]]
+            out.append(acc)
+        return undigits(out, rad)
+
+    a, b = np.random.default_rng(1).integers(0, R.cardinality, size=(2, 300))
+    assert R.kernel.mul(a, b).tolist() == [times(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert R.kernel.add(a, b).tolist() == [add(x, y) for x, y in zip(a.tolist(), b.tolist())]
+
+    laws = [
+        ("additive-commutativity", lambda a, b, c: add(a, b) == add(b, a), 2),
+        ("additive-associativity", lambda a, b, c: add(add(a, b), c) == add(a, add(b, c)), 3),
+        ("multiplicative-associativity", lambda a, b, c: times(times(a, b), c) == times(a, times(b, c)), 3),
+        ("left-distributivity", lambda a, b, c: times(a, add(b, c)) == add(times(a, b), times(a, c)), 3),
+        ("right-distributivity", lambda a, b, c: times(add(a, b), c) == add(times(a, c), times(b, c)), 3),
+    ]
+    expected = []
+    for a, b, c in np.random.default_rng(0).integers(0, R.cardinality, size=(2000, 3)).tolist():
+        expected = [(axiom, (a, b, c)[:k]) for axiom, holds, k in laws if not holds(a, b, c)]
+        if expected:
+            break
+    assert expected and batched_audit(R, 2000, 0) == expected
 
 
 def triple_loop_audit(R):

@@ -14,6 +14,7 @@ from srings.elements import classify_nilpotents, classify_zero_divisors, inverse
 from srings.errors import CapacityError, ValidationError
 from srings.report import classify_report
 from srings.rings import (
+    RingHandle,
     additive_group,
     characteristic,
     group_ring,
@@ -108,6 +109,37 @@ SMALL_SPECS = [
     "M2(Z2 x Z2)", "M2(GR(Z2, C2))", "Q(Z3)", "Q(Z4)", "GR(Z2, C2)", "GR(Z2 x Z2, C2)",
     "GR(Z2, C2) x GR(Z2, C2)", "GR(Z2, S3)", "GR(Z4, C2) x Z4",
 ]
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS)
+def test_batch_ops_read_the_table_cell(spec):
+    # the flat gather a * n + b against table[a, b], broadcasting as numpy does
+    R = ring_from_text(spec)
+    n = R.cardinality
+    a, b = np.random.default_rng(0).integers(0, n, size=(2, 40))
+    shapes = [(a, b), (a[:5, None], np.arange(n)[None, :]), (a[:1], b[:1])]
+    for op, table in ((R.vadd, R.add_table), (R.vmul, R.mul_table)):
+        for x, y in shapes:
+            assert np.array_equal(op(x, y), table[x, y])
+
+
+def test_table_gathers_see_only_codes_in_range(monkeypatch):
+    # a flat gather reads a wrong cell, with no error, for a code b >= n
+    seen = set()
+    for name in ("vadd", "vmul"):
+        real = getattr(RingHandle, name)
+
+        def checked(self, a, b, real=real):
+            if self._add_table is not None:
+                for x in (np.asarray(a), np.asarray(b)):
+                    assert x.size == 0 or 0 <= x.min() <= x.max() < self.cardinality, self.name
+                seen.add(self.name)
+            return real(self, a, b)
+
+        monkeypatch.setattr(RingHandle, name, checked)
+    for spec in ["SR(Z2, S(3))", "M2(Z4)", "Q(Z4)", "GR(Z2, S3)", "M2(Z2) x Z5"]:
+        ring_axiom_audit(ring_from_text(spec), samples=2000)
+    assert seen == {"Z2", "Z4", "Z5", "M2(Z2)"}
 
 
 def plain_additive_group(R):
@@ -231,6 +263,33 @@ def test_hyperring_partitions():
         assert disjoint and covers
         disjoint, covers = hyperring_family_partition(n, "multiplicative")
         assert not (disjoint and covers)
+
+
+def plain_hyperring(n, q, op_kind):
+    """Pairs and closure by the definition: an n^2 loop, then every two pairs."""
+    op = (lambda x, y: (x + y) % n) if op_kind == "additive" else (lambda x, y: x * y % n)
+    pairs = {(op(x, y), op(op(x, y), q)) for x in range(n) for y in range(n)}
+    closed = all(((a - c) % n, (b - d) % n) in pairs and (a * c % n, b * d % n) in pairs
+                 for a, b in pairs for c, d in pairs)
+    return frozenset(pairs), closed
+
+
+def plain_partition(n, op_kind):
+    seen = {}
+    disjoint = True
+    for q in range(n):
+        for p in plain_hyperring(n, q, op_kind)[0]:
+            disjoint &= seen.setdefault(p, q) == q
+    return disjoint, len(seen) == n * n
+
+
+@pytest.mark.parametrize("op_kind", ["additive", "multiplicative"])
+def test_hyperrings_match_plain_loops(op_kind):
+    for n in range(2, 13):
+        for q in range(n):
+            h = hyperring(n, q, op_kind)
+            assert (h.pairs, h.is_subring) == plain_hyperring(n, q, op_kind)
+        assert hyperring_family_partition(n, op_kind) == plain_partition(n, op_kind)
 
 
 def test_quotient_z12():

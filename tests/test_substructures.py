@@ -9,9 +9,10 @@ import pytest
 
 from srings.bits import contains, elements_of, mask_of
 from srings.config import DEFAULT_LIMITS
+from srings.elements import classify_idempotents, s_idempotents_within
 from srings.errors import CapacityError
 from srings.predicates import law_holds_on, s_localized_law
-from srings.rings import group_ring, product_ring, zn
+from srings.rings import group_ring, product_ring, subring_as_ring, zn
 from srings.specparse import ring_from_text
 from srings.structures import symmetric_group
 from srings.substructures import (
@@ -332,6 +333,18 @@ def test_field_and_domain_subsets_match_a_plain_filter(spec):
             fields.append((mask, ones[0]))
     assert [(f.mask, f.identity) for f in field_subsets(R)] == fields
     assert domain_subsets(R) == domains
+
+
+@pytest.mark.parametrize("spec", PLAIN_FILTER_SPECS)
+def test_s_idempotents_within_match_the_subring_census(spec):
+    # each subring built as a ring of its own, then censused
+    R = ring_from_text(spec)
+    masks = subrings(R)
+    xs, found = s_idempotents_within(R, masks)
+    for mask, row in zip(masks, found):
+        members = elements_of(mask)
+        _, s_idem, _, _ = classify_idempotents(subring_as_ring(R, mask))
+        assert xs[row].tolist() == [members[x] for x in s_idem], mask
 
 
 def plain_absorbing(R, multipliers) -> list[int]:
