@@ -26,6 +26,13 @@ def mask_of(elements: Iterable[int]) -> int:
     return m
 
 
+def distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of an array, ascending.  np.unique's plain path
+    imports numpy.ma on first use to check for a masked array; asking for
+    the indices too skips that check."""
+    return np.unique(codes, return_index=True)[0]
+
+
 def bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bits import contains, elements_of, rows_of, within
+from .bits import contains, distinct, elements_of, rows_of, within
 from .errors import CapacityError
 from .rings import _TABLE_BLOCK, RingHandle, _cached
 from .substructures import field_subsets, ideal_generated, units_mask
@@ -456,7 +456,7 @@ def clean_elements(R: RingHandle, idempotent_policy: str = "nontrivial") -> list
         idems &= (idx != R.zero) & (idx != R.one)
     elif idempotent_policy != "any":
         raise ValueError("idempotent_policy must be 'nontrivial' or 'any'")
-    return np.unique(R.add_table[np.ix_(np.flatnonzero(idems), units)]).tolist()
+    return distinct(R.add_table[np.ix_(np.flatnonzero(idems), units)]).tolist()
 
 
 def regular_elements(R: RingHandle) -> list[int]:

@@ -258,7 +258,8 @@ def forbidden_sublattices(
             hit &= (join(a, c) == i) & (join(b, c) == i)
         found.append(np.stack([o, a, b, c, i], axis=1)[hit])
     rows = np.sort(np.concatenate(found), axis=1)
-    return [tuple(map(int, r)) for r in np.unique(rows, axis=0)]
+    # return_index skips np.unique's masked-array check, as in bits.distinct
+    return [tuple(map(int, r)) for r in np.unique(rows, axis=0, return_index=True)[0]]
 
 
 def covering_relation(p: PosetModel) -> list[tuple[int, int]]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import contains, elements_of, rows_of, within
+from .bits import contains, elements_of, mask_of, rows_of, within
 from .errors import CapacityError
 from .rings import _TABLE_BLOCK, RingHandle, additive_group, is_prime, subring_as_ring
 from .structures import is_s_semigroup
@@ -131,22 +131,38 @@ def _first_failure(members: np.ndarray, ok: np.ndarray) -> int | None:
     return None if ok.all() else int(members[np.argmin(ok)])
 
 
+def _per_element(R: RingHandle, law: str, p: int | None) -> np.ndarray | None:
+    """Which elements of R pass a law that a subset obeys iff each of its
+    members does (zero_square, j_ring, weakly_boolean, p_ring for a given p);
+    None for the laws that are not such a test."""
+    seq = power_sequences(R)
+    if law == "zero_square":
+        return seq.power(2) == R.zero
+    if law == "p_ring" and p is not None:
+        return (seq.power(p) == np.arange(R.cardinality)) & (p % additive_group(R).orders == 0)
+    if law in ("j_ring", "weakly_boolean"):
+        # x^n = x with n = 1 + period exactly when x is on its own cycle
+        ok = seq.preperiod == 0
+        ok[R.zero] = True
+        return ok
+    return None
+
+
 def law_holds_on(R: RingHandle, members: list[int], law: str, p: int | None = None):
     """Evaluate one elementwise law on a subset; returns (holds, data)."""
     seq = power_sequences(R)
     m = np.array(members, dtype=np.int64)
     nonzero = m[m != R.zero]
+    if law == "p_ring" and p is None:
+        # existential prime: px = 0 forces p to be the additive exponent
+        p = math.lcm(*additive_group(R).orders[m].tolist())
+        if not is_prime(p):
+            return False, None
+    ok = _per_element(R, law, p)
+    bad = None if ok is None else _first_failure(m, ok[m])
     if law == "zero_square":
-        bad = _first_failure(m, seq.power(2)[m] == R.zero)
         return bad is None, bad
     if law == "p_ring":
-        orders = additive_group(R).orders[m]
-        if p is None:
-            # existential prime: px = 0 forces p to be the additive exponent
-            p = math.lcm(*orders.tolist())
-            if not is_prime(p):
-                return False, None
-        bad = _first_failure(m, (seq.power(p)[m] == m) & (p % orders == 0))
         return (True, p) if bad is None else (False, bad)
     if law == "e_ring":
         # uniform n >= 1 with x^(2^n) = x and 2x = 0 on the subset
@@ -156,8 +172,6 @@ def law_holds_on(R: RingHandle, members: list[int], law: str, p: int | None = No
         n_exp = next((n for n in range(1, 13) if (seq.power(2**n)[nonzero] == nonzero).all()), None)
         return n_exp is not None, n_exp
     if law in ("j_ring", "weakly_boolean"):
-        # x^n = x with n = 1 + period exactly when x is on its own cycle
-        bad = _first_failure(nonzero, seq.preperiod[nonzero] == 0)
         if bad is not None:
             return False, bad
         periods = seq.period[nonzero].tolist()
@@ -199,29 +213,36 @@ def s_localized_law(
     - "s_subring": some S-subring itself obeys it
     """
     name = f"s_{law}" if p is None else f"s_{law}({p})"
+    if placement == "subring_of_s_ring":
+        if not has_s_ring(R, "I", mode)[0]:
+            return PredicateVerdict(name, None, detail="not an S-ring I", mode=mode)
+    else:
+        s_subs = s_subrings(R, "I", mode)
+        if not s_subs:
+            return PredicateVerdict(name, None, detail="no S-subring", mode=mode)
+    # a law tested element by element fails on every subset that meets a
+    # failing element, so law_holds_on runs only on the first that meets none
+    ok = _per_element(R, law, p)
+    failing = 0 if ok is None else mask_of(np.flatnonzero(~ok).tolist())
     # {0} satisfies every elementwise law vacuously; witnesses must be larger
     if placement == "subring_of_s_ring":
-        ok, _ = has_s_ring(R, "I", mode)
-        if not ok:
-            return PredicateVerdict(name, None, detail="not an S-ring I", mode=mode)
         for mask in subrings(R):
-            if mask.bit_count() < 2:
+            if mask.bit_count() < 2 or mask & failing:
                 continue
             holds, data = law_holds_on(R, elements_of(mask), law, p)
             if holds:
                 return PredicateVerdict(name, True, witness=(mask, data), mode=mode)
         return PredicateVerdict(name, False, mode=mode)
-    s_subs = s_subrings(R, "I", mode)
-    if not s_subs:
-        return PredicateVerdict(name, None, detail="no S-subring", mode=mode)
     if placement == "s_subring":
         for v in s_subs:
+            if v.mask & failing:
+                continue
             holds, data = law_holds_on(R, elements_of(v.mask), law, p)
             if holds:
                 return PredicateVerdict(name, True, witness=(v.mask, data), mode=mode)
         return PredicateVerdict(name, False, mode=mode)
     if placement == "subring_of_s_subring":
-        sub_family = [b for b in subrings(R) if b.bit_count() >= 2]
+        sub_family = [b for b in subrings(R) if b.bit_count() >= 2 and not b & failing]
         sub_rows = rows_of(sub_family, R.cardinality)
         # a subring lies in many S-subrings; its verdict does not depend on which,
         # so each block tests only the subrings not yet found to fail

@@ -10,13 +10,19 @@ Each construction defines its arithmetic once, as a :class:`Kernel` of batch
 splits codes into mixed-radix digits, applies the component rings' own batch
 operations (one flat gather from an op table, cell a * n + b, or their own
 kernels when they have no tables) and joins the digits again.  Everything
-else is that kernel evaluated on other arrays: a dense op table is the kernel
-over the full grid, filled in row blocks; a scalar ``add``/``mul``/``neg`` on
-a ring without tables is the kernel on length-1 arrays; the axiom audit of a
-ring above the enumeration cap is one batched call on random triples.  Every
-other ring gets an exact audit, over additive generators.  Codes are int64
-below 2^63 and Python ints (dtype object) from there on, so no cardinality
-overflows.
+else is that kernel evaluated on other arrays, or read off tables built from
+it.  Dense op tables take from the kernel only the rows of 0 and of each
+one-digit code d.w_i; every other row x = top + rest, top = d.w_j for x's
+highest nonzero digit d, is filled by linearity in row blocks, x + y =
+top + (rest + y) and then xy = top.y + rest.y.  On a ring these are the
+kernel's rows; where a component is no ring, the exact audit of the tables
+gives the kernel grid's verdict, though maybe not its witnesses.  A scalar
+``add``/``mul``/``neg`` on a ring without tables is the kernel on length-1
+arrays.  The axiom audit of a ring above the enumeration cap is batched
+calls on random triples, drawn by one Python RNG whatever the cardinality;
+every other ring gets an exact audit, over additive generators.  Codes are
+int64 below 2^63 and Python ints (dtype object) from there on, so no
+cardinality overflows.
 
 (R,+) is read once per ring handle and cached: :func:`additive_generators`
 is its greedy generating set, and :func:`additive_group` one walk x, 2x, 3x,
@@ -34,7 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bits import contains, elements_of, masks_of
+from .bits import contains, distinct, elements_of, masks_of
 from .config import DEFAULT_LIMITS, EngineLimits
 from .errors import CapacityError, ValidationError
 from .structures import CayleyStructure, associative_over, associativity_witness, generators
@@ -57,7 +63,8 @@ class Kernel(NamedTuple):
 
 class RingHandle:
     """A finite ring: a batch arithmetic kernel, or op tables, or both (tables
-    are built from the kernel on first use)."""
+    are built from the kernel on first use).  ``radices`` are those of the
+    kernel's mixed-radix codec, component 0 first; by default one digit."""
 
     def __init__(
         self,
@@ -69,6 +76,7 @@ class RingHandle:
         add_table: np.ndarray | None = None,
         mul_table: np.ndarray | None = None,
         kernel: Kernel | None = None,
+        radices: list[int] | None = None,
         labeler: Callable[[int], str] | None = None,
         meta: dict | None = None,
         limits: EngineLimits = DEFAULT_LIMITS,
@@ -84,6 +92,7 @@ class RingHandle:
         self._mul_table = mul_table
         self._neg_vec: np.ndarray | None = None
         self.kernel = kernel
+        self.radices = radices or [cardinality]
         self._labeler = labeler
         self._cache: dict = {}
 
@@ -104,12 +113,24 @@ class RingHandle:
         n = self.cardinality
         add = np.empty((n, n), dtype=np.int32)
         mul = np.empty((n, n), dtype=np.int32)
-        cols = np.arange(n)[None, :]
         step = max(1, _TABLE_BLOCK // n)
-        for r0 in range(0, n, step):
-            rows = np.arange(r0, min(n, r0 + step))[:, None]
-            add[r0 : r0 + step] = self.kernel.add(rows, cols)
-            mul[r0 : r0 + step] = self.kernel.mul(rows, cols)
+        # the kernel's rows: 0 and every one-digit code d.w
+        spans = list(zip(_weights(self.radices), self.radices))
+        kernel_rows = np.array([0] + [d * w for w, r in spans for d in range(1, r)])
+        cols = np.arange(n)[None, :]
+        for r0 in range(0, len(kernel_rows), step):
+            rows = kernel_rows[r0 : r0 + step]
+            add[rows] = self.kernel.add(rows[:, None], cols)
+            mul[rows] = self.kernel.mul(rows[:, None], cols)
+        # every other x = top + rest, top its highest nonzero digit and rest in
+        # [1, w): x + y = top + (rest + y), then xy = top.y + rest.y
+        blocks = [(top, lo, min(w, lo + step))
+                  for w, r in spans for top in range(w, w * r, w) for lo in range(1, w, step)]
+        for top, lo, hi in blocks:
+            add[top + lo : top + hi] = add[top].take(add[lo:hi])
+        flat = add.ravel()
+        for top, lo, hi in blocks:
+            mul[top + lo : top + hi] = flat.take(mul[top].astype(np.int64) * n + mul[lo:hi])
         self._add_table, self._mul_table = add, mul
 
     @property
@@ -316,7 +337,7 @@ def _laws_hold_over(add: np.ndarray, mul: np.ndarray, gens: list[int]) -> bool:
     for b in gens:  # (a+b)c = ac + bc
         for r0 in range(0, n, step):
             a = slice(r0, r0 + step)
-            if not np.array_equal(mul[add[a, b]], add[mul[a], mul[b]]):
+            if not np.array_equal(mul[add[a, b]], add.take(mul[a].astype(np.int64) * n + mul[b])):
                 return False
     g = np.array(gens)
     a, b, c = g[:, None, None], g[None, :, None], np.arange(n)
@@ -360,15 +381,13 @@ def _audit_tables(R: RingHandle) -> list[AxiomViolation]:
 
 
 def _audit_sampled(R: RingHandle, samples: int, seed: int = 0) -> list[AxiomViolation]:
-    """Five axioms on random triples; at the first triple that breaks any,
-    every axiom it breaks, in order."""
+    """Five axioms on random triples, drawn a, b, c one at a time with
+    random.Random(seed).randrange(n) for every cardinality, then checked in
+    batches; at the first triple that breaks any, every axiom it breaks, in
+    order."""
     n = R.cardinality
-    if n < 2**63:
-        # the same triples as drawing a, b, c one at a time with rng.integers(0, n)
-        triples = np.random.default_rng(seed).integers(0, n, size=(samples, 3))
-    else:
-        rnd = random.Random(seed)
-        triples = np.array([rnd.randrange(n) for _ in range(3 * samples)], dtype=object).reshape(samples, 3)
+    rnd = random.Random(seed)
+    triples = np.array([rnd.randrange(n) for _ in range(3 * samples)], dtype=_dtype(n)).reshape(samples, 3)
     for start in range(0, samples, _AUDIT_BLOCK):
         a, b, c = triples[start : start + _AUDIT_BLOCK].T
         a_b, b_c, ab, bc, ac = R.vadd(a, b), R.vadd(b, c), R.vmul(a, b), R.vmul(b, c), R.vmul(a, c)
@@ -439,7 +458,7 @@ def product_ring(factors: list[RingHandle], limits: EngineLimits = DEFAULT_LIMIT
 
     R = RingHandle(
         n, "product", " x ".join(f.name for f in factors), one=one,
-        kernel=_componentwise(factors), labeler=labeler, meta={"factors": factors}, limits=limits,
+        kernel=_componentwise(factors), radices=radices, labeler=labeler, meta={"factors": factors}, limits=limits,
     )
     if n <= limits.table_cap:
         R._require_tables()
@@ -464,7 +483,7 @@ def matrix_ring(base: RingHandle, k: int, limits: EngineLimits = DEFAULT_LIMITS,
 
     R = RingHandle(
         m ** (k * k), "matrix", f"M{k}({base.name})", one=one,
-        kernel=_convolution(base, k * k, terms), labeler=labeler,
+        kernel=_convolution(base, k * k, terms), radices=radices, labeler=labeler,
         meta={"base": base, "k": k}, limits=limits,
     )
     return validate_ring(R) if validate else R
@@ -501,7 +520,7 @@ def _structure_ring(
 
     R = RingHandle(
         base.cardinality**s, construction, f"{base.name}{S.name}", one=one,
-        kernel=_convolution(base, s, terms), labeler=labeler,
+        kernel=_convolution(base, s, terms), radices=radices, labeler=labeler,
         meta={"base": base, "structure": S}, limits=limits,
     )
     return validate_ring(R) if validate else R
@@ -541,7 +560,7 @@ def quaternion_ring(n: int, limits: EngineLimits = DEFAULT_LIMITS, validate: boo
 
     R = RingHandle(
         n**4, "quaternion", f"Q(Z{n})", one=1,
-        kernel=_convolution(zn(n, limits, validate=False), 4, terms),
+        kernel=_convolution(zn(n, limits, validate=False), 4, terms), radices=[n] * 4,
         labeler=labeler, meta={"n": n}, limits=limits,
     )
     return validate_ring(R) if validate else R
@@ -603,7 +622,7 @@ def quotient_ring(R: RingHandle, ideal_mask: int, validate: bool = True) -> Ring
     if not is_two_sided_ideal(R, ideal_mask):
         raise ValueError("subset is not a two-sided ideal")
     rep = R.add_table[:, elements_of(ideal_mask)].min(axis=1)  # least element of x + I
-    reps = np.unique(rep)
+    reps = distinct(rep)
     pos = np.zeros(R.cardinality, dtype=np.int32)
     pos[reps] = np.arange(len(reps))
     coset = pos[rep]  # the quotient code of every element
@@ -702,7 +721,7 @@ def _hyper_pairs(n: int, q: int | np.ndarray, op_kind: str) -> tuple[np.ndarray,
     r = np.arange(n)
     if op_kind == "additive":
         return r, (r + q) % n  # every t is t + 0
-    t = np.unique(np.multiply.outer(r, r) % n)
+    t = distinct(np.multiply.outer(r, r) % n)
     return t, t * q % n
 
 
@@ -722,5 +741,5 @@ def hyperring(n: int, q: int, op_kind: str) -> HyperPairSet:
 def hyperring_family_partition(n: int, op_kind: str) -> tuple[bool, bool]:
     """(pairwise disjoint, union covers Z_n x Z_n) over all shifts q."""
     t, u = _hyper_pairs(n, np.arange(n)[:, None], op_kind)
-    seen = np.unique(t * n + u)  # one pair per (q, t), so repeats are shared pairs
+    seen = distinct(t * n + u)  # one pair per (q, t), so repeats are shared pairs
     return len(seen) == u.size, len(seen) == n * n

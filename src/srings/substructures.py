@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import elements_of, grow_family, mask_of, masks_of, rows_of, within
+from .bits import distinct, elements_of, grow_family, mask_of, masks_of, rows_of, within
 from .config import DEFAULT_LIMITS, EngineLimits
 from .errors import CapacityError
 from .rings import RingHandle, _cached, additive_generators, additive_group, is_prime
@@ -125,7 +125,7 @@ def _additive_subgroups(R: RingHandle, limits: EngineLimits):
     members = functools.cache(elements_of)
     gens_by_mask = grow_family(
         sorted(group.cyclics.items()),
-        lambda a, b: mask_of(np.unique(add[np.ix_(members(a), members(b))]).tolist()),
+        lambda a, b: mask_of(distinct(add[np.ix_(members(a), members(b))]).tolist()),
         limits.family_cap,
         "additive subgroup",
     )

@@ -1,6 +1,8 @@
 """Property tests of the batch arithmetic kernels over random small ring
 specs: each construction's kernel against a plain-Python per-element
-reference, dense tables against the kernel, the batched sampled audit
+reference, dense tables (filled by linearity) against the kernel, the
+exact audit of those tables against the audit of the kernel grid over a
+corrupted component, the batched sampled audit
 against the scalar loop it replaced, the exact audit against a plain
 triple loop, and the spec printer against the parser.
 
@@ -14,8 +16,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from srings.rings import _audit_sampled, matrix_ring, ring_axiom_audit, semigroup_ring, table_ring, zn
-from srings.structures import CayleyStructure
+from srings.rings import (
+    _audit_sampled, group_ring, matrix_ring, product_ring, ring_axiom_audit, semigroup_ring, table_ring, zn,
+)
+from srings.structures import CayleyStructure, cyclic_group, symmetric_group
 from srings.specparse import (
     GroupAtom,
     GroupRingSpec,
@@ -209,16 +213,53 @@ def test_dense_tables_match_kernel(spec):
     assert R.add_table.dtype == np.int32
 
 
+def kernel_grid_ring(R):
+    """R's kernel evaluated on the whole grid, as a table ring."""
+    n = R.cardinality
+    a, b = np.divmod(np.arange(n * n), n)
+    return table_ring(R.kernel.add(a, b).reshape(n, n), R.kernel.mul(a, b).reshape(n, n),
+                      name="kernel grid", one=R.one, validate=False)
+
+
+@pytest.mark.parametrize("spec", ["M2(Z8)", "Q(Z8)", "GR(Z2, C12)", "Z4 x Z4 x Z4 x Z4 x Z4 x Z4"])
+def test_linearly_filled_tables_match_kernel_rows(spec):
+    # 4,096 elements each: the tables are filled by linearity, not by the kernel
+    R = build_ring(parse(spec), validate=False)
+    n = R.cardinality
+    rows = np.random.default_rng(0).choice(n, 64, replace=False)[:, None]
+    cols = np.arange(n)[None, :]
+    assert np.array_equal(R.add_table[rows[:, 0]], R.kernel.add(rows, cols))
+    assert np.array_equal(R.mul_table[rows[:, 0]], R.kernel.mul(rows, cols))
+
+
+@SETTINGS
+@given(st.sampled_from([2, 3, 4]), st.sampled_from(["matrix", "group ring", "product", "product, last"]), st.data())
+def test_audit_of_linear_tables_over_a_corrupted_component_matches_the_kernel_grid(m, kind, data):
+    # If the linearly filled tables form a ring, each component embeds at an
+    # idempotent basis position, so it is a ring and the tables equal the
+    # kernel grid: both audits must give the same verdict.
+    base = zn(m)
+    tables = [base.add_table.copy(), base.mul_table.copy()]
+    which, i, j = data.draw(st.integers(0, 1)), data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    tables[which][i, j] = data.draw(st.integers(0, m - 1).filter(lambda v: v != tables[which][i, j]))
+    bad = table_ring(*tables, name="corrupted", validate=False)
+    if kind == "matrix":
+        R = matrix_ring(bad, 2, validate=False)
+    elif kind == "group ring":
+        groups = [cyclic_group(2), cyclic_group(3)] + [symmetric_group(3)] * (m == 2)  # at most 64 elements
+        R = group_ring(bad, data.draw(st.sampled_from(groups)), validate=False)
+    else:
+        other = zn(data.draw(st.integers(2, 3)))
+        R = product_ring([bad, other] if kind == "product" else [other, bad], validate=False)
+    assert ring_axiom_audit(R).passed == ring_axiom_audit(kernel_grid_ring(R)).passed
+
+
 def scalar_audit(R, samples, seed=0):
     """The sampled audit as one scalar loop: the reference for the batched one."""
-    n = R.cardinality
-    rng, rnd = np.random.default_rng(seed), random.Random(seed)
+    n, rnd = R.cardinality, random.Random(seed)
     out = []
     for _ in range(samples):
-        if n < 2**63:
-            a, b, c = (int(rng.integers(0, n)) for _ in range(3))
-        else:
-            a, b, c = (rnd.randrange(n) for _ in range(3))
+        a, b, c = (rnd.randrange(n) for _ in range(3))
         if R.add(a, b) != R.add(b, a):
             out.append(("additive-commutativity", (a, b)))
         if R.add(R.add(a, b), c) != R.add(a, R.add(b, c)):
@@ -307,8 +348,8 @@ def test_matrix_kernel_over_a_corrupted_table_matches_plain_products():
         ("left-distributivity", lambda a, b, c: times(a, add(b, c)) == add(times(a, b), times(a, c)), 3),
         ("right-distributivity", lambda a, b, c: times(add(a, b), c) == add(times(a, c), times(b, c)), 3),
     ]
-    expected = []
-    for a, b, c in np.random.default_rng(0).integers(0, R.cardinality, size=(2000, 3)).tolist():
+    expected, rnd = [], random.Random(0)
+    for a, b, c in ([rnd.randrange(R.cardinality) for _ in range(3)] for _ in range(2000)):
         expected = [(axiom, (a, b, c)[:k]) for axiom, holds, k in laws if not holds(a, b, c)]
         if expected:
             break

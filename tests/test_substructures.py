@@ -1,6 +1,7 @@
 """Substructure enumeration: families, certificates, modes and radicals."""
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -440,6 +441,41 @@ def test_subring_of_s_subring_keeps_the_first_witness(law, mode):
             break
     verdict = s_localized_law(R, law, "subring_of_s_subring", mode=mode)
     assert verdict.verdict == (expected is not None) and verdict.witness == expected
+
+
+def plain_localized_law(R, law, placement, p, mode):
+    """s_localized_law as a plain loop: law_holds_on on every candidate in
+    scan order; (verdict, witness)."""
+    holds_on = functools.cache(lambda b: law_holds_on(R, elements_of(b), law, p))
+    subs = [b for b in subrings(R) if b.bit_count() >= 2]
+    if placement == "subring_of_s_ring":
+        if not has_s_ring(R, "I", mode)[0]:
+            return None, None
+        candidates = [((b,), b) for b in subs]
+    else:
+        s_subs = s_subrings(R, "I", mode)
+        if not s_subs:
+            return None, None
+        if placement == "s_subring":
+            candidates = [((v.mask,), v.mask) for v in s_subs]
+        else:
+            candidates = [((v.mask, b), b) for v in s_subs for b in subs if b & ~v.mask == 0]
+    for key, b in candidates:
+        holds, data = holds_on(b)
+        if holds:
+            return True, key + (data,)
+    return False, None
+
+
+@pytest.mark.parametrize("spec", PLAIN_FILTER_SPECS)
+def test_s_localized_law_matches_a_plain_loop(spec):
+    # the per-element laws, whose failing subrings are skipped by one mask test
+    R = ring_from_text(spec)
+    for law, p in (("zero_square", None), ("j_ring", None), ("weakly_boolean", None), ("p_ring", 2), ("p_ring", 3)):
+        for placement in ("subring_of_s_ring", "s_subring", "subring_of_s_subring"):
+            verdict = s_localized_law(R, law, placement, p)
+            expected = plain_localized_law(R, law, placement, p, "strict")
+            assert (verdict.verdict, verdict.witness) == expected, (law, p, placement)
 
 
 def test_s_subrings_z12():
