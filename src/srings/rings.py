@@ -9,7 +9,11 @@ Each construction defines its arithmetic once, as a :class:`Kernel` of batch
 ``add``/``mul``/``neg`` functions over arrays of element codes.  A kernel
 splits codes into mixed-radix digits, applies the component rings' own batch
 operations (one flat gather from an op table, cell a * n + b, or their own
-kernels when they have no tables) and joins the digits again.  Everything
+kernels when they have no tables) and joins the digits again.  The one
+exception is the product of a convolution (matrix, group, semigroup and
+quaternion rings) over a base built by zn: there every digit is an integer
+sum over the construction's structure constants, evaluated as float32
+matrix products wherever that is exact, and reduced mod n.  Everything
 else is that kernel evaluated on other arrays, or read off tables built from
 it.  Dense op tables take from the kernel only the rows of 0 and of each
 one-digit code d.w_i; every other row x = top + rest, top = d.w_j for x's
@@ -46,7 +50,8 @@ from .errors import CapacityError, ValidationError
 from .structures import CayleyStructure, associative_over, associativity_witness, generators
 
 # grid cells per row block when a dense table is filled from a kernel or
-# scanned by the audit; bounds the intermediates whatever the cardinality
+# scanned by the audit, and per block of a product from structure constants;
+# bounds the intermediates whatever the cardinality
 _TABLE_BLOCK = 1 << 14
 # sampled triples checked per batched call of the audit
 _AUDIT_BLOCK = 4096
@@ -242,8 +247,9 @@ def _split(codes: np.ndarray, radices: list[int]) -> list[np.ndarray]:
     """Digit arrays of an array of codes, component 0 first."""
     out = []
     for r in radices:
-        out.append((codes % r).astype(_dtype(r), copy=False))
-        codes = codes // r
+        rest = codes // r  # numpy's int64 floor division is far faster than its %
+        out.append((codes - rest * r).astype(_dtype(r), copy=False))
+        codes = rest
     return out
 
 
@@ -287,11 +293,21 @@ def _componentwise(rings: list[RingHandle]) -> Kernel:
 def _convolution(base: RingHandle, size: int, terms: list[tuple[int, int, int, bool]]) -> Kernel:
     """Kernel of coefficient vectors of length size over base, where basis
     elements multiply by e_g e_h = e_k, or -e_k when negated, for each term
-    (g, h, k, negated); pairs without a term multiply to 0."""
+    (g, h, k, negated); pairs without a term multiply to 0.
+
+    Over a base built by zn, whose arithmetic is integers mod n, a product's
+    digit k is the integer sum of +-a_g b_h over k's terms, reduced mod n.
+    Where (terms of k) (n-1)^2 < 2^24 for every k, no partial sum of it, in
+    any order, leaves the integers float32 holds exactly, so mul evaluates
+    every digit at once from the structure constants C[h, g, k] (the signed
+    count of terms): BC = B @ C, then out_k = sum_g a_g BC[g, k], in blocks of
+    at most _TABLE_BLOCK cells, and reduces mod n once.  A row of BC must fit
+    one block, so size^2 <= _TABLE_BLOCK, which also keeps C at most 8 MiB.
+    Every other base and size folds the terms through the base's own ops."""
     radices = [base.cardinality] * size
     coefficientwise = _componentwise([base] * size)
 
-    def mul(a, b):
+    def fold(a, b):
         da, db = _split(a, radices), _split(b, radices)
         out: list = [None] * size
         for g, h, k, negated in terms:
@@ -301,6 +317,32 @@ def _convolution(base: RingHandle, size: int, terms: list[tuple[int, int, int, b
             out[k] = t if out[k] is None else base.vadd(out[k], t)
         zero = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
         return _join([zero if d is None else d for d in out], radices)
+
+    n = base.cardinality
+    per_digit = np.bincount([k for _, _, k, _ in terms], minlength=size)
+    exact = int(per_digit.max()) * (n - 1) ** 2 < 2**24
+    if base.construction != "zn" or not exact or size * size > _TABLE_BLOCK:
+        return Kernel(coefficientwise.add, fold, coefficientwise.neg)
+    constants = np.zeros((size, size, size), dtype=np.float32)
+    for g, h, k, negated in terms:
+        constants[h, g, k] += -1 if negated else 1
+    constants = constants.reshape(size, size * size)
+    outer, inner = _TABLE_BLOCK // size, _TABLE_BLOCK // size**2
+
+    def mul(a, b):
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        a, b = (np.broadcast_to(x, shape).ravel() for x in (a, b))
+        codes = np.empty(a.size, dtype=_dtype(n**size))
+        for o in range(0, a.size, outer):
+            A, B = (np.stack(_split(x[o : o + outer], radices), axis=1).astype(np.float32) for x in (a, b))
+            out = np.empty_like(A)
+            for i in range(0, len(A), inner):
+                bc = (B[i : i + inner] @ constants).reshape(-1, size, size)
+                out[i : i + inner] = np.matmul(A[i : i + inner, None, :], bc)[:, 0]
+            digits = out.astype(np.int64)
+            digits -= digits // n * n
+            codes[o : o + outer] = _join(list(digits.T), radices)
+        return codes.reshape(shape)
 
     return Kernel(coefficientwise.add, mul, coefficientwise.neg)
 
@@ -538,7 +580,9 @@ def semigroup_ring(base: RingHandle, S: CayleyStructure, limits: EngineLimits = 
 
 # basis 1, i, j, k: the product of basis elements g and h is +-(g xor h), and
 # negative exactly for ii, ik, ji, jj, kj, kk
-_QUATERNION_NEGATED = {(1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (3, 3)}
+_QUATERNION_TERMS = [
+    (g, h, g ^ h, (g, h) in {(1, 1), (1, 3), (2, 1), (2, 2), (3, 2), (3, 3)}) for g in range(4) for h in range(4)
+]
 
 
 def quaternion_ring(n: int, limits: EngineLimits = DEFAULT_LIMITS, validate: bool = True) -> RingHandle:
@@ -550,7 +594,6 @@ def quaternion_ring(n: int, limits: EngineLimits = DEFAULT_LIMITS, validate: boo
     """
     if n < 2:
         raise ValueError("quaternion ring needs modulus n >= 2")
-    terms = [(g, h, g ^ h, (g, h) in _QUATERNION_NEGATED) for g in range(4) for h in range(4)]
 
     def labeler(code):
         p = _decode(code, [n] * 4)
@@ -560,7 +603,7 @@ def quaternion_ring(n: int, limits: EngineLimits = DEFAULT_LIMITS, validate: boo
 
     R = RingHandle(
         n**4, "quaternion", f"Q(Z{n})", one=1,
-        kernel=_convolution(zn(n, limits, validate=False), 4, terms), radices=[n] * 4,
+        kernel=_convolution(zn(n, limits, validate=False), 4, _QUATERNION_TERMS), radices=[n] * 4,
         labeler=labeler, meta={"n": n}, limits=limits,
     )
     return validate_ring(R) if validate else R

@@ -1,15 +1,17 @@
 """Property tests of the batch arithmetic kernels over random small ring
 specs: each construction's kernel against a plain-Python per-element
-reference, dense tables (filled by linearity) against the kernel, the
-exact audit of those tables against the audit of the kernel grid over a
-corrupted component, the batched sampled audit
-against the scalar loop it replaced, the exact audit against a plain
-triple loop, and the spec printer against the parser.
+reference, the structure-constant products of Z_n-based convolutions
+against the term-by-term fold, dense tables (filled by linearity) against
+the kernel, the exact audit of those tables against the audit of the
+kernel grid over a corrupted component, the batched sampled audit against
+the scalar loop it replaced, the exact audit against a plain triple loop,
+and the spec printer against the parser.
 
 Examples are derandomized: every run draws the same ones."""
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from srings.rings import (
-    _audit_sampled, group_ring, matrix_ring, product_ring, ring_axiom_audit, semigroup_ring, table_ring, zn,
+    _QUATERNION_TERMS, RingHandle, _audit_sampled, _convolution, group_ring, matrix_ring, product_ring,
+    ring_axiom_audit, semigroup_ring, table_ring, zn,
 )
 from srings.structures import CayleyStructure, cyclic_group, symmetric_group
 from srings.specparse import (
@@ -198,6 +201,90 @@ def test_batch_ops_match_reference(spec, data):
         assert [int(v) for v in neg(a)] == [ref.neg(x) for x in xs]
     x, y = xs[0], ys[0]
     assert (R.add(x, y), R.mul(x, y), R.neg(x)) == (ref.add(x, y), ref.mul(x, y), ref.neg(x))
+
+
+def folded_mul(R):
+    """R's mul rebuilt over its base wrapped as a table ring: that base was
+    not built by zn, so the product folds the terms through its ops."""
+    base = R.meta["base"] if "base" in R.meta else zn(R.meta["n"])
+    twin = table_ring(base.add_table, base.mul_table, validate=False)
+    if R.construction == "quaternion":
+        return _convolution(twin, 4, _QUATERNION_TERMS).mul
+    if R.construction == "matrix":
+        return matrix_ring(twin, R.meta["k"], validate=False).kernel.mul
+    build = group_ring if R.construction == "group_ring" else semigroup_ring
+    return build(twin, R.meta["structure"], validate=False).kernel.mul
+
+
+def base_products(monkeypatch, mul, a, b):
+    """mul(a, b) and the names of the rings whose vmul it called."""
+    called = set()
+    real = RingHandle.vmul
+
+    def spy(self, x, y):
+        called.add(self.name)
+        return real(self, x, y)
+
+    monkeypatch.setattr(RingHandle, "vmul", spy)
+    out = mul(a, b)
+    monkeypatch.undo()
+    return out, called
+
+
+@pytest.mark.parametrize("spec, count", [
+    ("SR(Z2, S(3))", 2000), ("SR(Z3, S(2))", 200), ("SR(Z2, Zn*6)", 200), ("SR(Z4, Zn*3)", 200),
+    ("GR(Z3, C4)", 200), ("GR(Z2, S3)", 200), ("GR(Z4, D4)", 200),
+    ("M1(Z5)", 200), ("M2(Z4)", 200), ("M3(Z2)", 200), ("M3(Z200)", 200),
+    ("Q(Z2)", 200), ("Q(Z3)", 200), ("Q(Z4)", 200), ("Q(Z5)", 200),
+])
+def test_structure_constant_products_match_the_fold(monkeypatch, spec, count):
+    # 1-D codes, a rows x cols grid and length-1 arrays; M3(Z200) has
+    # Python-int codes
+    R = build_ring(parse(spec), validate=False)
+    n, rnd = R.cardinality, random.Random(spec)
+    a, b = (codes([rnd.randrange(n) for _ in range(count)], n) for _ in range(2))
+    fold = folded_mul(R)
+    assert base_products(monkeypatch, fold, a[:1], b[:1])[1]  # the reference folds
+    for x, y in [(a, b), (a[:40, None], b[None, :count // 40]), (a[:1], b[:1]), (a[:1], b)]:
+        out, called = base_products(monkeypatch, R.kernel.mul, x, y)
+        assert not called  # no product went through the base ring
+        expected = fold(x, y)
+        assert out.shape == expected.shape and out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("spec, structure_constants", [
+    # GR(Z_n, C16) sums 16 products into each digit: 16 (n-1)^2 < 2^24 up to n = 1024
+    ("GR(Z1024, C16)", True), ("GR(Z1025, C16)", False),
+    # a row of B @ C holds size^2 cells, at most _TABLE_BLOCK = 128^2
+    ("GR(Z2, C128)", True), ("GR(Z2, C129)", False),
+    ("Q(Z2049)", False), ("Q(Z3000)", False), ("M2(Z2 x Z2)", False), ("GR(Z2 x Z3, C2)", False),
+])
+def test_products_take_structure_constants_only_within_their_bounds(monkeypatch, spec, structure_constants):
+    R, ref = build_ring(parse(spec), validate=False), Ref(parse(spec))
+    n, rnd = R.cardinality, random.Random(spec)
+    xs = [n - 1, 1, R.one] + [rnd.randrange(n) for _ in range(12)]  # n - 1: every digit largest
+    a, b = codes(xs, n), codes(xs[::-1], n)
+    out, called = base_products(monkeypatch, R.kernel.mul, a, b)
+    assert (not called) == structure_constants
+    assert [int(v) for v in out] == [ref.mul(x, y) for x, y in zip(xs, xs[::-1])]
+
+
+def test_sampled_audit_peak_memory_is_at_most_the_folds():
+    R = build_ring(parse("SR(Z2, S(3))"), validate=False)
+    base = R.meta["base"]
+    twin = semigroup_ring(table_ring(base.add_table, base.mul_table, validate=False), R.meta["structure"],
+                          validate=False)
+    peaks = []
+    for ring in (R, twin):
+        _audit_sampled(ring, 2000)
+        tracemalloc.start()
+        try:
+            assert _audit_sampled(ring, 2000) == []
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
 
 
 @SETTINGS

@@ -137,9 +137,11 @@ def test_table_gathers_see_only_codes_in_range(monkeypatch):
             return real(self, a, b)
 
         monkeypatch.setattr(RingHandle, name, checked)
-    for spec in ["SR(Z2, S(3))", "M2(Z4)", "Q(Z4)", "GR(Z2, S3)", "M2(Z2) x Z5"]:
+    # M2(Z2 x Z2) multiplies through its base's ops, the others by structure
+    # constants, adding through the base's ops
+    for spec in ["SR(Z2, S(3))", "M2(Z4)", "Q(Z4)", "GR(Z2, S3)", "M2(Z2) x Z5", "M2(Z2 x Z2)"]:
         ring_axiom_audit(ring_from_text(spec), samples=2000)
-    assert seen == {"Z2", "Z4", "Z5", "M2(Z2)"}
+    assert seen == {"Z2", "Z4", "Z5", "M2(Z2)", "Z2 x Z2"}
 
 
 def plain_additive_group(R):
