@@ -10,8 +10,8 @@ class EngineLimits:
     """Caps that separate exhaustive work from sampling or refusal.
 
     Operations that would exceed a cap raise :class:`srings.errors.CapacityError`
-    instead of silently sampling, except the axiom audit of a ring above the
-    enumeration cap, which checks random triples (every other audit is exact).
+    instead of silently sampling.  The axiom audit is exact at every size: above
+    the enumeration cap it audits how the ring was built (see srings.rings).
     """
 
     # rings above this cardinality expose arithmetic but refuse enumeration
@@ -20,10 +20,6 @@ class EngineLimits:
     table_cap: int = 2048
     # hard ceiling on enumerated subset families
     family_cap: int = 10**6
-    # random triples the construction audit checks above the enumeration cap
-    construction_samples: int = 2000
-    # default sample count for ring_axiom_audit above the enumeration cap
-    audit_samples: int = 10**5
     # lattice caps, each set so that a request just under it finishes in
     # seconds (2 CPUs, Intel Xeon).  On a distributive lattice every check and
     # search returns at once; elsewhere the 4-variable checks scan k^4 node

@@ -22,11 +22,12 @@ top + (rest + y) and then xy = top.y + rest.y.  On a ring these are the
 kernel's rows; where a component is no ring, the exact audit of the tables
 gives the kernel grid's verdict, though maybe not its witnesses.  A scalar
 ``add``/``mul``/``neg`` on a ring without tables is the kernel on length-1
-arrays.  The axiom audit of a ring above the enumeration cap is batched
-calls on random triples, drawn by one Python RNG whatever the cardinality;
-every other ring gets an exact audit, over additive generators.  Codes are
-int64 below 2^63 and Python ints (dtype object) from there on, so no
-cardinality overflows.
+arrays.  Every axiom audit is exact and cached on the handle.  The audit of
+an enumerable ring reads its tables, over additive generators.  A ring above
+the enumeration cap is audited from how it was built: from its components'
+audits and, for a convolution, from the finite table of its basis under the
+``terms`` list its kernel reads.  Codes are int64 below 2^63 and Python ints
+(dtype object) from there on, so no cardinality overflows.
 
 (R,+) is read once per ring handle and cached: :func:`additive_generators`
 is its greedy generating set, and :func:`additive_group` one walk x, 2x, 3x,
@@ -37,8 +38,8 @@ re-check of single witnesses.
 
 from __future__ import annotations
 
+import itertools
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -53,8 +54,6 @@ from .structures import CayleyStructure, associative_over, associativity_witness
 # scanned by the audit, and per block of a product from structure constants;
 # bounds the intermediates whatever the cardinality
 _TABLE_BLOCK = 1 << 14
-# sampled triples checked per batched call of the audit
-_AUDIT_BLOCK = 4096
 
 
 class Kernel(NamedTuple):
@@ -359,7 +358,10 @@ class AxiomViolation:
 @dataclass
 class AuditReport:
     ring: str
-    method: str  # "exhaustive" (an exact verdict over all n^3 triples) | "sampled"
+    # "exhaustive" (from the op tables) | "presentation" (from the components
+    # and basis tables, see _audit_convolution): exact verdicts over all n^3
+    # triples
+    method: str
     triples_checked: int
     violations: list[AxiomViolation] = field(default_factory=list)
 
@@ -422,48 +424,120 @@ def _audit_tables(R: RingHandle) -> list[AxiomViolation]:
     return out if unit_ok else out + [AxiomViolation("unit-element", (R.one,))]
 
 
-def _audit_sampled(R: RingHandle, samples: int, seed: int = 0) -> list[AxiomViolation]:
-    """Five axioms on random triples, drawn a, b, c one at a time with
-    random.Random(seed).randrange(n) for every cardinality, then checked in
-    batches; at the first triple that breaks any, every axiom it breaks, in
-    order."""
-    n = R.cardinality
-    rnd = random.Random(seed)
-    triples = np.array([rnd.randrange(n) for _ in range(3 * samples)], dtype=_dtype(n)).reshape(samples, 3)
-    for start in range(0, samples, _AUDIT_BLOCK):
-        a, b, c = triples[start : start + _AUDIT_BLOCK].T
-        a_b, b_c, ab, bc, ac = R.vadd(a, b), R.vadd(b, c), R.vmul(a, b), R.vmul(b, c), R.vmul(a, c)
-        checks = [
-            ("additive-commutativity", a_b != R.vadd(b, a), (a, b)),
-            ("additive-associativity", R.vadd(a_b, c) != R.vadd(a, b_c), (a, b, c)),
-            ("multiplicative-associativity", R.vmul(ab, c) != R.vmul(a, bc), (a, b, c)),
-            ("left-distributivity", R.vmul(a, b_c) != R.vadd(ab, ac), (a, b, c)),
-            ("right-distributivity", R.vmul(a_b, c) != R.vadd(ac, bc), (a, b, c)),
-        ]
-        bad = np.logical_or.reduce([fails for _, fails, _ in checks])
-        if bad.any():
-            i = int(np.argmax(bad))
-            return [
-                AxiomViolation(axiom, tuple(int(x[i]) for x in witness))
-                for axiom, fails, witness in checks
-                if fails[i]
-            ]
-    return []
+def _lifted(R: RingHandle, C: RingHandle, weight: int) -> list[AxiomViolation]:
+    """The violations of R's component C as R's: each witness code x as the
+    code x.weight of R (C's digit, every other digit 0); a unit violation is
+    R.one's, and dropped where R declares no 1.  Z_n, whose arithmetic is the
+    integers mod n, has none to check."""
+    found = [] if C.construction == "zn" else _violations(C)
+    return [
+        AxiomViolation(v.axiom, (R.one,) if v.axiom == "unit-element" else tuple(x * weight for x in v.witness))
+        for v in found if v.axiom != "unit-element" or R.one is not None
+    ]
 
 
-def ring_axiom_audit(R: RingHandle, samples: int | None = None) -> AuditReport:
-    """Axiom report: exact on every enumerable ring (dense tables are built
-    if missing), sampled triples above the enumeration cap."""
-    if R.enumerable:
-        return AuditReport(R.name, "exhaustive", R.cardinality**3, _audit_tables(R))
-    count = samples if samples is not None else R.limits.audit_samples
-    return AuditReport(R.name, "sampled", count, _audit_sampled(R, count))
+def _basis_table(terms: list[tuple[int, int, int, bool]], size: int, signed: bool) -> np.ndarray:
+    """Product table of the symbols 0, +e_g (1 + g) and, when signed, -e_g
+    (1 + size + g) under terms; a pair without a term multiplies to 0."""
+    if len({(g, h) for g, h, _, _ in terms}) < len(terms):
+        raise ValueError("a basis pair has two terms")
+    table = np.zeros((1 + size * (1 + signed),) * 2, dtype=np.int32)
+    g, h, k, negated = (np.array(column, dtype=np.int64) for column in zip(*terms))
+    for sg, sh in [(0, 0), (0, 1), (1, 0), (1, 1)] if signed else [(0, 0)]:
+        table[1 + g + sg * size, 1 + h + sh * size] = 1 + k + (negated ^ sg ^ sh) * size * signed
+    return table
+
+
+def _basis_witness(R: RingHandle, table: np.ndarray, coefficients: list[int]) -> tuple[int, ...] | None:
+    """The first basis triple (e_g, e_h, e_l), least g first, that breaks
+    associativity in the basis table and still breaks it in R with some
+    coefficients a, b, c, at (a e_g, b e_h, c e_l); None if there is none."""
+    size, w = len(R.radices), R.meta["base"].cardinality
+    pos = np.arange(1, size + 1)
+    products = table[np.ix_(pos, pos)]
+    for g in range(size):
+        for h, l in np.argwhere(table[products[g]][:, pos] != table[1 + g][products]).tolist():
+            x, y, z = (np.array(t, dtype=_dtype(R.cardinality)) for t in zip(*itertools.product(
+                *([a * w**i for a in coefficients] for i in (g, h, l)))))
+            bad = R.vmul(R.vmul(x, y), z) != R.vmul(x, R.vmul(y, z))
+            if bad.any():
+                i = int(np.argmax(bad))
+                return int(x[i]), int(y[i]), int(z[i])
+    return None
+
+
+def _audit_convolution(R: RingHandle) -> list[AxiomViolation]:
+    """A convolution's violations from its base and its basis table.  Over a
+    base A with a 1, ((a e_g)(b e_h))(c e_l) = (abc)[(e_g e_h) e_l], so R is
+    associative exactly when the basis table is (signs taken modulo the
+    characteristic of A), and R.one is its unit exactly when it fixes every
+    basis code 1.e_h on both sides; distributivity and the laws of (R,+) hold
+    by construction.  A failing base reports its own violations, lifted at an
+    idempotent basis position; the lift is a witness of R for the laws of +,
+    and for every law wherever the base's 0 is its additive identity and
+    absorbs every product.  Such a convolution fails even where its kernel
+    happens to be a ring (M2 over Z2 with every product 1)."""
+    base, terms = R.meta["base"], R.meta["terms"]
+    size, w = len(R.radices), base.cardinality
+    g = next((g for g, h, k, negated in terms if g == h == k and not negated), 0)
+    found = _lifted(R, base, w**g)
+    if found:
+        return found
+    # the base's declared 1 is a unit unless R, declaring none, dropped that
+    # violation
+    unital = base.one is not None and (base.construction == "zn" or not _violations(base))
+    # signs count unless the characteristic is at most 2: 1 + 1 = 0 where the
+    # base has a 1, which spares its additive walk
+    signed = base.add(base.one, base.one) != base.zero if unital else characteristic(base) > 2
+    table = _basis_table(terms, size, signed)
+    out = []
+    if not associative_over(table, generators(table)):
+        # without a 1 the basis triples are retested with coefficients that
+        # span the base: by trilinearity that is R's verdict
+        coefficients = [base.one] if unital else additive_generators(base)
+        witness = _basis_witness(R, table, coefficients)
+        if witness is not None:
+            out.append(AxiomViolation("multiplicative-associativity", witness))
+    if R.one is not None:
+        e = np.array([base.one * w**h for h in range(size)], dtype=_dtype(R.cardinality))
+        one = np.full_like(e, R.one)
+        if not (np.array_equal(R.vmul(one, e), e) and np.array_equal(R.vmul(e, one), e)):
+            out.append(AxiomViolation("unit-element", (R.one,)))
+    return out
+
+
+def _audit_presentation(R: RingHandle) -> list[AxiomViolation]:
+    """The violations of a ring above the enumeration cap, from how it was
+    built: Z_n has none, a product has its factors', a convolution its base's
+    and its basis table's.  Rings with op tables keep the table audit."""
+    if R.construction == "zn":
+        return []
+    if R.construction == "product":
+        return [v for f, w in zip(R.meta["factors"], _weights(R.radices)) for v in _lifted(R, f, w)]
+    if "terms" in R.meta:
+        return _audit_convolution(R)
+    return _audit_tables(R)
+
+
+def _violations(R: RingHandle) -> list[AxiomViolation]:
+    """Every axiom R breaks, cached on its handle: the table audit of an
+    enumerable ring, or else the audit of its presentation."""
+    return _cached(R, "audit", lambda: _audit_tables(R) if R.enumerable else _audit_presentation(R))
+
+
+def ring_axiom_audit(R: RingHandle) -> AuditReport:
+    """Exact axiom report over all n^3 triples: the table audit of an
+    enumerable ring (dense tables are built if missing), the audit of its
+    presentation above the enumeration cap, where a ring built on a component
+    that is no ring fails."""
+    method = "exhaustive" if R.enumerable else "presentation"
+    return AuditReport(R.name, method, R.cardinality**3, list(_violations(R)))
 
 
 def validate_ring(R: RingHandle) -> RingHandle:
-    """R, once ring_axiom_audit finds no violation (construction_samples
-    triples above the enumeration cap); else ValidationError at the first."""
-    violations = ring_axiom_audit(R, R.limits.construction_samples).violations
+    """R, once ring_axiom_audit finds no violation; else ValidationError at
+    the first."""
+    violations = _violations(R)
     if violations:
         v = violations[0]
         raise ValidationError(f"{R.name}: {v.axiom} fails at {v.witness}")
@@ -526,7 +600,7 @@ def matrix_ring(base: RingHandle, k: int, limits: EngineLimits = DEFAULT_LIMITS,
     R = RingHandle(
         m ** (k * k), "matrix", f"M{k}({base.name})", one=one,
         kernel=_convolution(base, k * k, terms), radices=radices, labeler=labeler,
-        meta={"base": base, "k": k}, limits=limits,
+        meta={"base": base, "k": k, "terms": terms}, limits=limits,
     )
     return validate_ring(R) if validate else R
 
@@ -563,7 +637,7 @@ def _structure_ring(
     R = RingHandle(
         base.cardinality**s, construction, f"{base.name}{S.name}", one=one,
         kernel=_convolution(base, s, terms), radices=radices, labeler=labeler,
-        meta={"base": base, "structure": S}, limits=limits,
+        meta={"base": base, "structure": S, "terms": terms}, limits=limits,
     )
     return validate_ring(R) if validate else R
 
@@ -601,10 +675,11 @@ def quaternion_ring(n: int, limits: EngineLimits = DEFAULT_LIMITS, validate: boo
         parts = [f"{c}{u}" if u else str(c) for c, u in zip(p, units) if c]
         return "+".join(parts) if parts else "0"
 
+    base = zn(n, limits, validate=False)
     R = RingHandle(
         n**4, "quaternion", f"Q(Z{n})", one=1,
-        kernel=_convolution(zn(n, limits, validate=False), 4, _QUATERNION_TERMS), radices=[n] * 4,
-        labeler=labeler, meta={"n": n}, limits=limits,
+        kernel=_convolution(base, 4, _QUATERNION_TERMS), radices=[n] * 4,
+        labeler=labeler, meta={"base": base, "terms": _QUATERNION_TERMS}, limits=limits,
     )
     return validate_ring(R) if validate else R
 
@@ -735,11 +810,9 @@ def characteristic(R: RingHandle) -> int:
     # above the cap: derive from the construction
     if R.construction == "zn":
         return R.meta["n"]
-    if R.construction == "quaternion":
-        return R.meta["n"]
     if R.construction == "product":
         return math.lcm(*(characteristic(f) for f in R.meta["factors"]))
-    if R.construction in ("group_ring", "semigroup_ring", "matrix"):
+    if "base" in R.meta:  # matrix, group, semigroup and quaternion rings
         return characteristic(R.meta["base"])
     raise CapacityError(f"{R.name}: characteristic needs an enumerable ring")
 

@@ -48,7 +48,7 @@ def test_refusal_runs_no_axiom_audit(capsys, monkeypatch, argv, refusal):
     def audit(*args):
         raise AssertionError("axiom audit ran")
 
-    monkeypatch.setattr(srings.rings, "_audit_sampled", audit)
+    monkeypatch.setattr(srings.rings, "_audit_presentation", audit)
     monkeypatch.setattr(srings.rings, "_audit_tables", audit)
     assert main(argv) == 3
     assert capsys.readouterr() == ("", f"capacity: M9(Z9): {refusal}\n")
@@ -56,7 +56,7 @@ def test_refusal_runs_no_axiom_audit(capsys, monkeypatch, argv, refusal):
 
 def test_every_predicate_on_a_ring_above_the_cap(capsys, monkeypatch):
     # each id is refused with one capacity line or answered; the ring is
-    # built (and sample-audited) once for all of them
+    # built (and audited from its presentation) once for all of them
     monkeypatch.setattr(srings.specparse, "ring_from_text", functools.cache(srings.specparse.ring_from_text))
     for pid in sorted(name for ids, _ in PREDICATES for name in ids):
         code = main(["predicates", "M9(Z9)", "--only", pid])
@@ -251,7 +251,8 @@ print(sorted(name for name in ("numpy.ma", "numpy.random") if name in sys.module
 
 def test_commands_leave_numpy_ma_and_random_unimported():
     # cyclic-join and subspace additive subgroups, the diamond scan, the
-    # ledger (a sampled audit, quotients, hyperrings) and the censuses
+    # ledger (an audit above the enumeration cap, quotients, hyperrings) and
+    # the censuses
     src = str(Path(srings.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", _LAZY_IMPORT_PROBE], capture_output=True, text=True, env=env)

@@ -3,9 +3,10 @@ specs: each construction's kernel against a plain-Python per-element
 reference, the structure-constant products of Z_n-based convolutions
 against the term-by-term fold, dense tables (filled by linearity) against
 the kernel, the exact audit of those tables against the audit of the
-kernel grid over a corrupted component, the batched sampled audit against
-the scalar loop it replaced, the exact audit against a plain triple loop,
-and the spec printer against the parser.
+kernel grid over a corrupted component, the audit of a ring's
+presentation (under a lowered enumeration cap) against the table audit of
+its kernel grid, the exact audit against a plain triple loop, and the spec
+printer against the parser.
 
 Examples are derandomized: every run draws the same ones."""
 
@@ -18,9 +19,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from srings.bits import mask_of
+from srings.config import DEFAULT_LIMITS, EngineLimits
 from srings.rings import (
-    _QUATERNION_TERMS, RingHandle, _audit_sampled, _convolution, group_ring, matrix_ring, product_ring,
-    ring_axiom_audit, semigroup_ring, table_ring, zn,
+    _QUATERNION_TERMS, RingHandle, _convolution, group_ring, matrix_ring, product_ring,
+    ring_axiom_audit, semigroup_ring, subring_as_ring, table_ring, zn,
 )
 from srings.structures import CayleyStructure, cyclic_group, symmetric_group
 from srings.specparse import (
@@ -206,7 +209,7 @@ def test_batch_ops_match_reference(spec, data):
 def folded_mul(R):
     """R's mul rebuilt over its base wrapped as a table ring: that base was
     not built by zn, so the product folds the terms through its ops."""
-    base = R.meta["base"] if "base" in R.meta else zn(R.meta["n"])
+    base = R.meta["base"]
     twin = table_ring(base.add_table, base.mul_table, validate=False)
     if R.construction == "quaternion":
         return _convolution(twin, 4, _QUATERNION_TERMS).mul
@@ -270,21 +273,17 @@ def test_products_take_structure_constants_only_within_their_bounds(monkeypatch,
     assert [int(v) for v in out] == [ref.mul(x, y) for x, y in zip(xs, xs[::-1])]
 
 
-def test_sampled_audit_peak_memory_is_at_most_the_folds():
-    R = build_ring(parse("SR(Z2, S(3))"), validate=False)
-    base = R.meta["base"]
-    twin = semigroup_ring(table_ring(base.add_table, base.mul_table, validate=False), R.meta["structure"],
-                          validate=False)
-    peaks = []
-    for ring in (R, twin):
-        _audit_sampled(ring, 2000)
+def test_presentation_audit_peak_memory_is_a_few_mb():
+    # no d^4 tensor over the 128 digits of GR(Z2, C128) and no n^3 scan
+    for spec in ["GR(Z2, C128)", "M9(Z9)"]:
+        R = build_ring(parse(spec), validate=False)
         tracemalloc.start()
         try:
-            assert _audit_sampled(ring, 2000) == []
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            assert ring_axiom_audit(R).passed
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[0] <= peaks[1]
+        assert peak < 4 * 2**20, (spec, peak)
 
 
 @SETTINGS
@@ -341,69 +340,144 @@ def test_audit_of_linear_tables_over_a_corrupted_component_matches_the_kernel_gr
     assert ring_axiom_audit(R).passed == ring_axiom_audit(kernel_grid_ring(R)).passed
 
 
-def scalar_audit(R, samples, seed=0):
-    """The sampled audit as one scalar loop: the reference for the batched one."""
-    n, rnd = R.cardinality, random.Random(seed)
-    out = []
-    for _ in range(samples):
-        a, b, c = (rnd.randrange(n) for _ in range(3))
-        if R.add(a, b) != R.add(b, a):
-            out.append(("additive-commutativity", (a, b)))
-        if R.add(R.add(a, b), c) != R.add(a, R.add(b, c)):
-            out.append(("additive-associativity", (a, b, c)))
-        if R.mul(R.mul(a, b), c) != R.mul(a, R.mul(b, c)):
-            out.append(("multiplicative-associativity", (a, b, c)))
-        if R.mul(a, R.add(b, c)) != R.add(R.mul(a, b), R.mul(a, c)):
-            out.append(("left-distributivity", (a, b, c)))
-        if R.mul(R.add(a, b), c) != R.add(R.mul(a, c), R.mul(b, c)):
-            out.append(("right-distributivity", (a, b, c)))
-        if out:
-            break
-    return out
+# caps under which a ring of more than 8 (or 2) elements is audited from its
+# presentation; 8 keeps every structure the strategies name buildable
+LOW = EngineLimits(enumeration_cap=8, table_cap=8)
+LOWEST = EngineLimits(enumeration_cap=2, table_cap=2)
+ADDITIVE_LAWS = {"additive-commutativity", "zero-element", "additive-inverse", "additive-associativity"}
 
 
-def batched_audit(R, samples, seed):
-    return [(v.axiom, v.witness) for v in _audit_sampled(R, samples, seed)]
+def law_breaks(R, axiom, witness):
+    """Whether the axiom fails at the witness, by R's scalar add and mul."""
+    add, mul, E = R.add, R.mul, range(R.cardinality)
+    if axiom == "additive-commutativity":
+        a, b = witness
+        return add(a, b) != add(b, a)
+    if axiom == "zero-element":
+        return add(R.zero, witness[0]) != witness[0]
+    if axiom == "additive-inverse":
+        return all(add(witness[0], y) != R.zero for y in E)
+    if axiom == "unit-element":
+        return any(mul(R.one, x) != x or mul(x, R.one) != x for x in E)
+    a, b, c = witness
+    lhs, rhs = {
+        "additive-associativity": lambda: (add(add(a, b), c), add(a, add(b, c))),
+        "multiplicative-associativity": lambda: (mul(mul(a, b), c), mul(a, mul(b, c))),
+        "left-distributivity": lambda: (mul(a, add(b, c)), add(mul(a, b), mul(a, c))),
+        "right-distributivity": lambda: (mul(add(a, b), c), add(mul(a, c), mul(b, c))),
+    }[axiom]()
+    return lhs != rhs
+
+
+def grid_verdict(R):
+    """The table audit's verdict on R's kernel grid (on R's own tables for Z_n)."""
+    return ring_axiom_audit(kernel_grid_ring(R) if R.kernel is not None else R).passed
 
 
 @SETTINGS
-@given(spec_strategy(1), st.integers(0, 2**32))
-def test_batched_audit_matches_scalar_loop(spec, seed):
-    R = build_ring(spec, validate=False)
-    assert batched_audit(R, 10, seed) == scalar_audit(R, 10, seed) == []
+@given(specs.filter(lambda s: Ref(s).n <= 256))
+def test_presentation_audit_matches_table_audit(spec):
+    low = build_ring(spec, LOW, validate=False)
+    rep = ring_axiom_audit(low)
+    assert rep.method == ("exhaustive" if low.cardinality <= 8 else "presentation")
+    assert rep.passed == grid_verdict(build_ring(spec, validate=False))
+
+
+def _convolution_ring(base, size, terms, one, limits):
+    """A convolution over base whose kernel and audit both read terms."""
+    return RingHandle(base.cardinality**size, "convolution", "corrupted", one=one,
+                      kernel=_convolution(base, size, terms), radices=[base.cardinality] * size,
+                      meta={"base": base, "terms": terms}, limits=limits)
+
+
+def corrupted_terms(case, limits):
+    if case == "magma algebra":
+        return _magma_algebra(limits)
+    if case.startswith("Q"):  # ij = -k in place of k
+        terms = [(g, h, k, negated != ((g, h) == (1, 2))) for g, h, k, negated in _QUATERNION_TERMS]
+        return _convolution_ring(zn(int(case[3])), 4, terms, 1, limits)
+    R = group_ring(zn(2), symmetric_group(3), limits, validate=False)
+    terms = list(R.meta["terms"])
+    g, h, k, negated = terms[7]  # one product moved to the next basis element
+    terms[7] = (g, h, (k + 1) % 6, negated)
+    return _convolution_ring(R.meta["base"], 6, terms, R.one, limits)
+
+
+@pytest.mark.parametrize("case, passes", [
+    ("Q(Z3) ij sign", False),
+    ("Q(Z2) ij sign", True),  # -1 = 1 mod 2
+    ("GR(Z2, S3) moved product", False),
+    ("magma algebra", False),
+])
+def test_presentation_audit_matches_table_audit_on_corrupted_terms(case, passes):
+    low = corrupted_terms(case, LOWEST)
+    rep = ring_axiom_audit(low)
+    assert rep.method == "presentation"
+    assert rep.passed == grid_verdict(corrupted_terms(case, DEFAULT_LIMITS)) == passes
+    for v in rep.violations:
+        assert law_breaks(low, v.axiom, v.witness), v
+
+
+def even_residues(n):
+    return subring_as_ring(zn(n), mask_of(range(0, n, 2)))
+
+
+@pytest.mark.parametrize("base, passes", [
+    # 2Z_n has no 1, and in 2Z4 and 2Z8 every product of three elements is 0:
+    # there the magma algebra is associative although its basis table is not
+    (lambda: even_residues(4), True),
+    (lambda: even_residues(8), True),
+    (lambda: even_residues(16), False),
+    # a declared 1 that is no unit (2 in Z4) spans no more than 2Z4 does
+    (lambda: table_ring(zn(4).add_table, zn(4).mul_table, one=2, validate=False), False),
+], ids=["2Z4", "2Z8", "2Z16", "Z4 with 1 = 2"])
+def test_presentation_audit_over_a_base_without_a_one(base, passes):
+    base = base()
+    low = _magma_algebra(LOWEST, base)
+    rep = ring_axiom_audit(low)
+    assert rep.method == "presentation"
+    assert rep.passed == grid_verdict(_magma_algebra(DEFAULT_LIMITS, base)) == passes
+    for v in rep.violations:
+        assert law_breaks(low, v.axiom, v.witness), v
 
 
 @SETTINGS
-@given(specs.filter(lambda s: 2 <= Ref(s).n <= 64), st.data())
-def test_batched_audit_matches_scalar_loop_on_corrupted_tables(spec, data):
-    R = build_ring(spec, validate=False)
-    n = R.cardinality
-    tables = [R.add_table.copy(), R.mul_table.copy()]
-    which = data.draw(st.integers(0, 1))
-    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-    value = data.draw(st.integers(0, n - 1).filter(lambda v: v != tables[which][i, j]))
-    tables[which][i, j] = value
+@given(st.sampled_from([2, 3, 4]), st.sampled_from(["matrix", "group ring", "product", "product, last"]), st.data())
+def test_presentation_audit_matches_table_audit_over_a_corrupted_base(m, kind, data):
+    base = zn(m)
+    tables = [base.add_table.copy(), base.mul_table.copy()]
+    which, i, j = data.draw(st.integers(0, 1)), data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+    tables[which][i, j] = data.draw(st.integers(0, m - 1).filter(lambda v: v != tables[which][i, j]))
     bad = table_ring(*tables, name="corrupted", validate=False)
-    seed = data.draw(st.integers(0, 2**32))
-    assert batched_audit(bad, 300, seed) == scalar_audit(bad, 300, seed)
+    G = data.draw(st.sampled_from([cyclic_group(2), cyclic_group(3)] + [symmetric_group(3)] * (m == 2)))
+    other = zn(data.draw(st.integers(2, 3)))
 
+    def build(limits):
+        if kind == "matrix":
+            return matrix_ring(bad, 2, limits, validate=False)
+        if kind == "group ring":
+            return group_ring(bad, G, limits, validate=False)
+        return product_ring([bad, other] if kind == "product" else [other, bad], limits, validate=False)
 
-def test_batched_audit_reports_first_failing_triple():
-    # 2 * 3 corrupted in Z4: found by the sampled audit at the triple the
-    # scalar loop stops at, with every axiom that triple breaks
-    base = build_ring(ZnSpec(4))
-    mul = base.mul_table.copy()
-    mul[2, 3] = 1
-    bad = table_ring(base.add_table.copy(), mul, name="corrupted", validate=False)
-    found = batched_audit(bad, 2000, 0)
-    assert found and found == scalar_audit(bad, 2000, 0)
-    assert {axiom for axiom, _ in found} <= {
-        "multiplicative-associativity", "left-distributivity", "right-distributivity"}
+    low = build(LOWEST)
+    rep = ring_axiom_audit(low)
+    assert rep.method == "presentation"
+    assert rep.passed == grid_verdict(build(DEFAULT_LIMITS))
+    # a base violation lifted to one digit is R's for the laws of +, in a
+    # product, and wherever the base's 0 is its additive identity and absorbs
+    # every product
+    idx = np.arange(m)
+    zero_acts = (np.array_equal(tables[0][0], idx) and np.array_equal(tables[0][:, 0], idx)
+                 and not tables[1][0].any() and not tables[1][:, 0].any())
+    for v in rep.violations:
+        if kind.startswith("product") or zero_acts or v.axiom in ADDITIVE_LAWS:
+            assert law_breaks(low, v.axiom, v.witness), v
 
 
 def test_matrix_kernel_over_a_corrupted_table_matches_plain_products():
-    # M3 over Z4 with 2 * 3 corrupted: 4^9 elements, so the audit is sampled.
-    # The reference reads the base tables as lists, with no batch op.
+    # M3 over Z4 with 2 * 3 corrupted: 4^9 elements, so the audit reads the
+    # presentation.  The reference reads the base tables as lists, with no
+    # batch op.
     base = build_ring(ZnSpec(4))
     mul = base.mul_table.copy()
     mul[2, 3] = 1
@@ -435,12 +509,13 @@ def test_matrix_kernel_over_a_corrupted_table_matches_plain_products():
         ("left-distributivity", lambda a, b, c: times(a, add(b, c)) == add(times(a, b), times(a, c)), 3),
         ("right-distributivity", lambda a, b, c: times(add(a, b), c) == add(times(a, c), times(b, c)), 3),
     ]
-    expected, rnd = [], random.Random(0)
-    for a, b, c in ([rnd.randrange(R.cardinality) for _ in range(3)] for _ in range(2000)):
-        expected = [(axiom, (a, b, c)[:k]) for axiom, holds, k in laws if not holds(a, b, c)]
-        if expected:
-            break
-    assert expected and batched_audit(R, 2000, 0) == expected
+    # 0 still absorbs every product of the base, so each base violation,
+    # lifted to entry (0, 0), breaks its law in R
+    rep = ring_axiom_audit(R)
+    assert rep.method == "presentation" and not rep.passed
+    for v in rep.violations:
+        holds, k = next((holds, k) for axiom, holds, k in laws if axiom == v.axiom)
+        assert len(v.witness) == k and not holds(*v.witness, *[0] * (3 - k)), v
 
 
 def triple_loop_audit(R):
@@ -511,11 +586,11 @@ def _broken_addition():
     return table_ring(add, np.zeros((5, 5), dtype=np.int32), validate=False)
 
 
-def _magma_algebra():
-    """Z2 spanned by a 2-element magma with x*x = y and all other products x:
-    bilinear, so both distributive laws hold, but (xx)y != x(xy)."""
+def _magma_algebra(limits=DEFAULT_LIMITS, base=None):
+    """Z2 (or base) spanned by a 2-element magma with x*x = y and all other
+    products x: bilinear, so both distributive laws hold, but (xx)y != x(xy)."""
     magma = CayleyStructure("semigroup", 2, np.array([[1, 0], [0, 0]]), None, "M")
-    return semigroup_ring(zn(2), magma, validate=False)
+    return semigroup_ring(base or zn(2), magma, limits, validate=False)
 
 
 @pytest.mark.parametrize("build, axiom", [

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import srings.rings
 import srings.structures
 from srings.bits import elements_of, mask_of
 from srings.elements import classify_nilpotents, classify_zero_divisors, inverses
@@ -137,10 +138,14 @@ def test_table_gathers_see_only_codes_in_range(monkeypatch):
             return real(self, a, b)
 
         monkeypatch.setattr(RingHandle, name, checked)
-    # M2(Z2 x Z2) multiplies through its base's ops, the others by structure
-    # constants, adding through the base's ops
+    # each ring's kernel on 2,000 random pairs: M2(Z2 x Z2) multiplies through
+    # its base's ops, the others by structure constants, adding through the
+    # base's ops
+    rnd = random.Random(0)
     for spec in ["SR(Z2, S(3))", "M2(Z4)", "Q(Z4)", "GR(Z2, S3)", "M2(Z2) x Z5", "M2(Z2 x Z2)"]:
-        ring_axiom_audit(ring_from_text(spec), samples=2000)
+        R = ring_from_text(spec)
+        a, b = (np.array([rnd.randrange(R.cardinality) for _ in range(2000)]) for _ in range(2))
+        R.kernel.add(a, b), R.kernel.mul(a, b)
     assert seen == {"Z2", "Z4", "Z5", "M2(Z2)", "Z2 x Z2"}
 
 
@@ -373,10 +378,10 @@ def test_axiom_audit_passes():
     assert rep.passed and rep.method == "exhaustive"
 
 
-def test_axiom_audit_sampled_above_cap():
+def test_axiom_audit_presentation_above_cap():
     R = quaternion_ring(9)  # 6,561 elements, above the enumeration cap
-    rep = ring_axiom_audit(R, samples=500)
-    assert rep.passed and rep.method == "sampled"
+    rep = ring_axiom_audit(R)
+    assert rep.passed and rep.method == "presentation" and rep.triples_checked == 6561**3
 
 
 def test_corrupted_table_reports_violation():
@@ -421,17 +426,28 @@ def test_mixed_radix_codec_is_little_endian():
     assert R.add(1, 2) == 0  # (1,0,0)+(2,0,0) = (0,0,0)
 
 
-def test_sampled_audit_above_int64():
-    # codes from 2^63 on are Python ints: drawing them once overflowed int64
-    rep = ring_axiom_audit(zn(10**23), samples=200)
-    assert rep.passed and rep.method == "sampled"
+def test_presentation_audit_above_int64():
+    # codes from 2^63 on are Python ints
+    rep = ring_axiom_audit(zn(10**23))
+    assert rep.passed and rep.method == "presentation"
     R = matrix_ring(zn(9), 9)
     assert R.cardinality == 9**81
+    rep = ring_axiom_audit(R)
+    assert rep.passed and rep.method == "presentation"
     x = R.cardinality - 1  # every entry 8
     assert R.mul(R.one, x) == x == R.mul(x, R.one)
     assert R.add(x, R.neg(x)) == 0
     # each entry of the all-8 matrix squared is 9 * 64 = 0 mod 9
     assert R.mul(x, x) == 0
+
+
+def test_a_validated_component_is_not_audited_again(monkeypatch):
+    audited = []
+    real = srings.rings._audit_tables
+    monkeypatch.setattr(srings.rings, "_audit_tables", lambda R: audited.append(R.name) or real(R))
+    R = ring_from_text("M2(Z2) x Z5000")  # above the cap, so audited from its factors
+    assert not R.enumerable and ring_axiom_audit(R).passed
+    assert audited == ["Z2", "M2(Z2)"]
 
 
 def _census(R):
